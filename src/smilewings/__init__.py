@@ -4,8 +4,8 @@ Levy reference models for verification."""
 
 from __future__ import annotations
 
-from .blackscholes import NormalizedPutPrice, SmileCurve, call_price, \
-    d_minus, f_transform, implied_vol, put_price, vega
+from .blackscholes import NormalizedPutPrice, SmileCurve, WingForm, \
+    call_price, d_minus, f_transform, implied_vol, put_price, vega
 from .config import RunConfig, resolve_config
 from .errors import DivergentWing, DomainError, EmptyTail, FileFormatError, \
     GrowthViolation, MaxIterations, NoSignChange, NonPositiveVol, \
@@ -28,8 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # curves and prices
-    "NormalizedPutPrice", "SmileCurve", "put_price", "call_price", "vega",
-    "implied_vol", "d_minus", "f_transform",
+    "NormalizedPutPrice", "SmileCurve", "WingForm", "put_price", "call_price",
+    "vega", "implied_vol", "d_minus", "f_transform",
     # wings
     "lee_p_to_beta", "lee_beta_to_p", "lee_bound_check", "v_q",
     "put_upper_bound", "iv_wing_bound", "log_moment_statistic",

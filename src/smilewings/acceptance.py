@@ -21,16 +21,17 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .blackscholes import SmileCurve, d_minus, f_transform, implied_vol, put_price
+from .blackscholes import SmileCurve, WingForm, d_minus, f_transform, implied_vol, \
+    put_price
 from .config import RunConfig
 from .errors import DomainError
 from .gf import PayoffSpec, TransformedSmile, build_transform, gf_varswap, \
     price_psi_ac, price_psi_c2
-from .models import FMLS, Lognormal, _fmls_dist, _fmls_drift, _tail_coeffs, \
-    log_moment_oracle, model_put, model_smile, sample_paths
+from .models import FMLS, Lognormal, fmls_mean_log_oracle, log_moment_oracle, \
+    model_put, model_smile, sample_paths
 from .numerics import integrate, lambert_w_m1, mills_ratio
 from .replication import discrete_varswap_payoff, log_contract_strip, varswap_strip
-from .wings import _exact_form_arr, estimate_q, iv_wing_bound, lee_bound_check, \
+from .wings import estimate_q, iv_wing_bound, lee_bound_check, \
     log_moment_statistic, v_q
 
 __all__ = [
@@ -109,25 +110,6 @@ def transform_of(smile: SmileCurve) -> TransformedSmile:
     # SmileCurve hashes by identity and every fixture above is a singleton,
     # so this caches one transform per fixture.
     return build_transform(smile)
-
-
-@lru_cache(maxsize=None)
-def fmls_mean_log_oracle(alpha: float = 1.5, scale: float = 0.25) -> float:
-    """E[log S_T] by direct density quadrature plus the fitted power tail.
-
-    Independent of every option-pricing code path; the only shared inputs
-    are the stable density itself and the tail-coefficient fit.
-    """
-    mu = _fmls_drift(alpha, scale)
-    dist = _fmls_dist(alpha, scale)
-    body = integrate(lambda t: t * float(dist.pdf(t)), mu - 400.0, mu + 40.0,
-                     tol=1e-9, points=(0.0,)).value
-    cut = 400.0
-    tail = 0.0
-    for k, bk in enumerate(_tail_coeffs(alpha, scale), start=1):
-        ak = alpha * k
-        tail += bk * (mu * cut ** -ak - ak * cut ** (1.0 - ak) / (ak - 1.0))
-    return body + tail
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +238,7 @@ def check_wing_estimator(cfg: RunConfig,
     worst = 0.0
     for q in (0.5, 1.5, 3.0):
         xs = np.sort(-np.geomspace(1e2, 1e6, 25))
-        sm = SmileCurve(xs, _exact_form_arr(xs, q), interpolation="linear")
+        sm = SmileCurve(xs, WingForm(q, 0.0).vol(xs), interpolation="linear")
         rep = estimate_q(sm, xs.tolist(), method="min-statistic",
                          q_ceiling=cfg.q_ceiling)
         worst = max(worst, abs(rep.q_hat - q))

@@ -12,13 +12,14 @@ are handled through a parallel log-price channel that never underflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -27,11 +28,13 @@ from .errors import (
     PriceAtOrAboveCap,
     PriceBelowIntrinsic,
 )
-from .numerics import log_mills_ratio, log_norm_cdf, norm_cdf, norm_pdf
+from .numerics import LOG_SQRT_2PI, log1mexp, log_mills_ratio, log_norm_cdf, \
+    norm_cdf, norm_pdf
 
 __all__ = [
     "NormalizedPutPrice",
     "SmileCurve",
+    "WingForm",
     "d_minus",
     "put_price",
     "call_price",
@@ -39,18 +42,6 @@ __all__ = [
     "implied_vol",
     "f_transform",
 ]
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _log1mexp(u: float) -> float:
-    """log(1 - e^u) for u < 0, stable at both ends."""
-    if u >= 0.0:
-        raise DomainError("log1mexp requires a negative argument")
-    if u > -0.6931471805599453:
-        return math.log(-math.expm1(u))
-    return math.log1p(-math.exp(u))
-
 
 def d_minus(x: float, sigma: float) -> float:
     """The lower Black-Scholes argument -x/sigma - sigma/2."""
@@ -90,9 +81,9 @@ def _log_put(x: float, sigma: float) -> float:
         # quadratic pieces cancel symbolically, which the naive difference
         # of two ~|x| logs cannot do at extreme moneyness.
         gap = log_mills_ratio(d + sigma) - log_mills_ratio(d)
-        return la + _log1mexp(min(gap, -1e-300))
+        return la + log1mexp(min(gap, -1e-300))
     lb = log_norm_cdf(-d - sigma)
-    return la + _log1mexp(lb - la)
+    return la + log1mexp(lb - la)
 
 
 def _log_call(x: float, sigma: float) -> float:
@@ -100,9 +91,9 @@ def _log_call(x: float, sigma: float) -> float:
     la = log_norm_cdf(d + sigma)
     if -d - sigma >= 8.0:
         gap = log_mills_ratio(-d) - log_mills_ratio(-d - sigma)
-        return la + _log1mexp(min(gap, -1e-300))
+        return la + log1mexp(min(gap, -1e-300))
     lb = x + log_norm_cdf(d)
-    return la + _log1mexp(min(lb - la, -1e-300))
+    return la + log1mexp(min(lb - la, -1e-300))
 
 
 def put_price(x: float, sigma: float) -> NormalizedPutPrice:
@@ -157,7 +148,7 @@ def vega(x: float, sigma: float) -> float:
 
 def _log_vega(x: float, sigma: float) -> float:
     d = -x / sigma - 0.5 * sigma
-    return x - 0.5 * d * d - _LOG_SQRT_2PI
+    return x - 0.5 * d * d - LOG_SQRT_2PI
 
 
 def implied_vol(x: float, price: float | NormalizedPutPrice) -> float:
@@ -241,6 +232,80 @@ def implied_vol(x: float, price: float | NormalizedPutPrice) -> float:
     raise MaxIterations("implied_vol did not converge", best=sigma)
 
 
+def _log_abs(x):
+    # numpy for arrays, libm for scalars: the two logs can differ in the
+    # last bit, and each caller keeps the one it has always used.
+    return np.log(-x) if isinstance(x, np.ndarray) else math.log(-x)
+
+
+@dataclass(frozen=True)
+class WingForm:
+    """The corollary left wing at log-moment order q,
+
+        d(x)^2 = 2 q log|x| + c,    I(x) = sqrt(d^2 - 2x) - d,    x < 0,
+
+    with the squared distance written in u = log|x| as ``d2(u)``.  Values
+    and derivatives take a float or an array.  On the wing the transform
+    maps read f(x) = -d and h(x) = f(x) - I(x) = -sqrt(d^2 - 2x), which
+    :meth:`log_f_inv` and :meth:`h_inv` invert.
+    """
+
+    q: float
+    c: float
+
+    def __post_init__(self) -> None:
+        if math.isnan(self.q) or self.q < 0.0:
+            raise DomainError(f"wing order q must be >= 0, got {self.q}")
+        if not math.isfinite(self.c):
+            raise DomainError(f"wing constant c must be finite, got {self.c}")
+
+    @classmethod
+    def anchored(cls, x0: float, vol0: float, q: float) -> "WingForm":
+        """The wing through (x0, vol0): c is d(x0)^2 less the c = 0 wing's
+        d^2 there, so that I(x0) = vol0."""
+        d0 = -x0 / vol0 - 0.5 * vol0
+        return cls(q, d0 * d0 - cls(q, 0.0).d2(math.log(-x0)))
+
+    def d2(self, u):
+        """Squared distance d^2 at u = log|x|."""
+        return 2.0 * self.q * u + self.c
+
+    def log_f_inv(self, z: float) -> float:
+        """log|f^-1(z)|: the u at which d2(u) = z^2, so f^-1(z) = -e^u."""
+        return (z * z - self.c) / (2.0 * self.q)
+
+    def vol(self, x):
+        """I(x) = sqrt(d^2 - 2x) - d."""
+        a2 = self.d2(_log_abs(x))
+        return np.sqrt(a2 - 2.0 * x) - np.sqrt(a2)
+
+    def derivative(self, x):
+        """dI/dx = (q/x - 1)/sqrt(d^2 - 2x) - q/(x d), with the last term 0
+        where d = 0."""
+        a2 = self.d2(_log_abs(x))
+        a = np.sqrt(a2)
+        with np.errstate(divide="ignore"):
+            da = np.where(a > 0.0, self.q / (x * a), 0.0)
+        return (self.q / x - 1.0) / np.sqrt(a2 - 2.0 * x) - da
+
+    def h_inv(self, z: float) -> float:
+        """The x < 0 with h(x) = z: solves d2(log u) + 2u = z^2 for u = |x|."""
+        target = z * z
+
+        def bal(u: float) -> float:
+            return self.d2(math.log(u)) + 2.0 * u - target
+
+        hi = 0.5 * max(target - self.c, 2.0) + 1.0
+        lo = hi
+        while bal(lo) > 0.0:
+            lo *= 0.5
+            if lo < 1e-300:
+                raise DomainError(f"h_inv bracketing failed at z = {z}")
+        while bal(hi) < 0.0:
+            hi *= 2.0
+        return -brentq(bal, lo, hi, xtol=1e-13, rtol=8.9e-16)
+
+
 @dataclass(frozen=True, eq=False)
 class SmileCurve:
     """An implied-volatility curve on all of R.
@@ -248,12 +313,9 @@ class SmileCurve:
     ``x``/``vol`` give the grid; between knots the curve follows the chosen
     interpolation, beyond the last knot it is clamped flat, and beyond the
     first knot it is either clamped or continued with the tail-index wing
-
-        d(x)^2 = 2 q log|x| + c,    I(x) = sqrt(d(x)^2 + 2|x|) - d(x),
-
-    with c anchored so the continuation is exactly continuous at the
-    boundary knot.  ``certified_q`` records a moment order the generating
-    model guarantees (None when unknown).
+    :class:`WingForm` (``wing``), anchored so the continuation is exactly
+    continuous at the boundary knot.  ``certified_q`` records a moment order
+    the generating model guarantees (None when unknown).
     """
 
     x: NDArray[np.float64]
@@ -277,6 +339,17 @@ class SmileCurve:
             raise DomainError("x grid must be strictly increasing")
         if np.any(vol <= 0.0):
             raise NonPositiveVol("implied vols must be strictly positive")
+        # The monotone cubic's end-point slopes form products of up to three
+        # secant slopes times the grid span; those must stay in float range.
+        with np.errstate(over="ignore"):
+            slopes = np.diff(vol) / np.diff(x)
+            steep = ~np.isfinite(3.0 * slopes * max(x[-1] - x[0], 1.0))
+        if np.any(steep):
+            k = int(np.argmax(steep))
+            raise DomainError(
+                f"secant slope {slopes[k]:g} between knots ({x[k]:g}, "
+                f"{vol[k]:g}) and ({x[k + 1]:g}, {vol[k + 1]:g}) is out of "
+                "float range")
         if self.interpolation not in ("monotone-cubic", "linear"):
             raise DomainError(f"unknown interpolation {self.interpolation!r}")
         if self.right_wing != "clamp":
@@ -321,13 +394,12 @@ class SmileCurve:
         return None if self._pchip is None else self._pchip.derivative()
 
     @cached_property
-    def _wing_anchor(self) -> tuple[float, float]:
-        # (d0, c) for the corollary wing, anchored at the left boundary knot.
-        x0 = float(self.x[0])
-        v0 = float(self.vol[0])
-        d0 = -x0 / v0 - 0.5 * v0
-        c = d0 * d0 - 2.0 * self.left_wing_q * math.log(-x0)
-        return d0, c
+    def wing(self) -> WingForm | None:
+        """The left-wing continuation past the first knot; None when clamped."""
+        if self.left_wing == "clamp":
+            return None
+        return WingForm.anchored(float(self.x[0]), float(self.vol[0]),
+                                 float(self.left_wing_q))
 
     def _interior(self, xs: np.ndarray) -> np.ndarray:
         if self.x.size == 1:
@@ -345,22 +417,6 @@ class SmileCurve:
         slopes = np.diff(self.vol) / np.diff(self.x)
         return slopes[idx]
 
-    def _left_wing_vals(self, xs: np.ndarray, want_deriv: bool) -> np.ndarray:
-        if self.left_wing == "clamp":
-            fill = 0.0 if want_deriv else self.vol[0]
-            return np.full_like(xs, fill)
-        q = float(self.left_wing_q)
-        _, c = self._wing_anchor
-        lg = np.log(-xs)
-        a = np.sqrt(2.0 * q * lg + c)
-        b = np.sqrt(a * a - 2.0 * xs)
-        if not want_deriv:
-            return b - a
-        with np.errstate(divide="ignore"):
-            da = np.where(a > 0.0, q / (xs * a), 0.0)
-        db = (q / xs - 1.0) / b
-        return db - da
-
     def _eval(self, at, want_deriv: bool):
         arr = np.asarray(at, dtype=float)
         scalar = arr.ndim == 0
@@ -375,7 +431,12 @@ class SmileCurve:
         if np.any(right):
             out[right] = 0.0 if want_deriv else self.vol[-1]
         if np.any(left):
-            out[left] = self._left_wing_vals(xs[left], want_deriv)
+            wing = self.wing
+            if wing is None:
+                out[left] = 0.0 if want_deriv else self.vol[0]
+            else:
+                out[left] = (wing.derivative(xs[left]) if want_deriv
+                             else wing.vol(xs[left]))
         return float(out[0]) if scalar else out
 
     def __call__(self, at):

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Literal, Mapping
 
 from .errors import DomainError, FileFormatError
+from .fileio import numbered_lines
 
 __all__ = ["RunConfig", "load_config_file", "resolve_config", "thread_count"]
 
@@ -53,10 +54,12 @@ def load_config_file(path: str) -> dict:
     overrides: dict = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+            lines = list(numbered_lines(fh))
     except OSError as exc:
         raise FileFormatError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    for lineno, raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

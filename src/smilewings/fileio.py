@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Literal, Mapping
+from typing import IO, Iterable, Iterator, Literal, Mapping
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "ChainFileRow",
     "format_float",
     "parse_float",
+    "numbered_lines",
     "to_canonical_json",
     "write_smile_csv",
     "read_smile_csv",
@@ -46,14 +47,28 @@ def parse_float(s: str) -> float:
     return float(s.strip())
 
 
+def numbered_lines(fh: IO[str]) -> Iterator[tuple[int, str]]:
+    """The lines of a text stream with 1-based numbers.  A byte the stream
+    cannot decode raises FileFormatError naming the line it sits on."""
+    lineno = 0
+    try:
+        for raw in fh:
+            lineno += 1
+            yield lineno, raw
+    except UnicodeDecodeError as exc:
+        # The chunk that failed to decode starts inside the line after the
+        # last one read; count the line breaks in it up to the bad byte.
+        bad = lineno + 1 + exc.object.count(b"\n", 0, exc.start)
+        raise FileFormatError(
+            f"line {bad}: not valid {exc.encoding} ({exc.reason})") from exc
+
+
 def _emit(obj, out: list, depth: int) -> None:
     pad = "  " * depth
     if obj is None:
         out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
@@ -124,9 +139,6 @@ def write_smile_csv(fh: IO[str], smile: SmileCurve,
         fh.write(f"{format_float(float(x))},{format_float(float(v))}\n")
 
 
-_SMILE_META_KEYS = {"interpolation", "left_wing", "left_wing_q", "certified_q"}
-
-
 def read_smile_csv(fh: IO[str]) -> tuple[SmileCurve, dict[str, str]]:
     """Inverse of :func:`write_smile_csv`.  Structural problems raise
     FileFormatError; value-domain problems surface as DomainError from the
@@ -135,7 +147,7 @@ def read_smile_csv(fh: IO[str]) -> tuple[SmileCurve, dict[str, str]]:
     header_seen = False
     xs: list[float] = []
     vols: list[float] = []
-    for lineno, raw in enumerate(fh, start=1):
+    for lineno, raw in numbered_lines(fh):
         line = raw.strip()
         if not line:
             continue
@@ -214,7 +226,7 @@ def read_chain_csv(fh: IO[str]) -> tuple[list[tuple[int, ChainFileRow]],
     rows: list[tuple[int, ChainFileRow]] = []
     bad: list[tuple[int, str]] = []
     header_seen = False
-    for lineno, raw in enumerate(fh, start=1):
+    for lineno, raw in numbered_lines(fh):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 from .blackscholes import SmileCurve, f_transform
 from .errors import (DomainError, GrowthViolation, NotMonotone,
                      ToleranceNotReached)
-from .numerics import integrate
+from .numerics import LOG_SQRT_2PI, integrate
 
 __all__ = [
     "PayoffSpec",
@@ -37,14 +37,13 @@ __all__ = [
     "price_psi_ac",
 ]
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Beyond this |z| the standard normal density is an exact float zero, so
 # integrands short-circuit before evaluating possibly huge payoff values.
 _Z_DEAD = 38.5
 
 
 def _phi(z: float) -> float:
-    return math.exp(-0.5 * z * z - _LOG_SQRT_2PI) if abs(z) < _Z_DEAD else 0.0
+    return math.exp(-0.5 * z * z - LOG_SQRT_2PI) if abs(z) < _Z_DEAD else 0.0
 
 
 def _wing_envelope_dead(growth_q: float, x: float, z: float) -> bool:
@@ -126,41 +125,20 @@ def build_transform(smile: SmileCurve, tol: float = 1e-8) -> TransformedSmile:
 
     sig_lo = float(iv_dense[0])
     sig_hi = float(iv_dense[-1])
-    left_kind = smile.left_wing
-    if left_kind == "corollary_expansion":
-        wing_q = float(smile.left_wing_q)
-        wing_c = smile._wing_anchor[1]
-    else:
-        wing_q = wing_c = 0.0
+    wing = smile.wing
 
     def f_of(x: float) -> float:
         return float(f_transform(x, smile))
 
     def f_left(z: float) -> float:
-        if left_kind == "clamp":
+        if wing is None:
             return sig_lo * z - 0.5 * sig_lo * sig_lo
-        t = (z * z - wing_c) / (2.0 * wing_q)
-        return -math.exp(min(t, 709.0))
+        return -math.exp(min(wing.log_f_inv(z), 709.0))
 
     def h_left(z: float) -> float:
-        if left_kind == "clamp":
+        if wing is None:
             return sig_lo * z + 0.5 * sig_lo * sig_lo
-        # solve 2 q log(u) + c + 2 u = z^2 for u = |x|
-        target = z * z
-
-        def bal(u: float) -> float:
-            return 2.0 * wing_q * math.log(u) + wing_c + 2.0 * u - target
-
-        hi = 0.5 * max(target - wing_c, 2.0) + 1.0
-        lo = hi
-        while bal(lo) > 0.0:
-            lo *= 0.5
-            if lo < 1e-300:
-                raise DomainError(f"h_inv bracketing failed at z = {z}")
-        while bal(hi) < 0.0:
-            hi *= 2.0
-        u = brentq(bal, lo, hi, xtol=1e-13, rtol=8.9e-16)
-        return -u
+        return wing.h_inv(z)
 
     def _bracketed(z: float, grid_vals: np.ndarray, func: Callable[[float], float]) -> float:
         i = int(np.searchsorted(grid_vals, z))
@@ -237,23 +215,21 @@ def gf_varswap(ts: TransformedSmile, tol: float = 1e-8,
     val += iv_hi * iv_hi * _ndtr(-z_hi)
 
     grid_edge = ts.f_of(float(smile.x[0]))
-    if smile.left_wing == "clamp" or z_lo > grid_edge:
+    wing = smile.wing
+    if wing is None or z_lo > grid_edge:
         iv_lo = float(smile(ts.f_inv(z_lo)))
         val += iv_lo * iv_lo * _ndtr(z_lo)
     else:
-        q = float(smile.left_wing_q)
-        c = smile._wing_anchor[1]
-
-        def wing(z: float) -> float:
-            t = (z * z - c) / (2.0 * q)
+        def far(z: float) -> float:
+            t = wing.log_f_inv(z)
             if t > 500.0:
-                li = math.log(2.0) + t - 0.5 * z * z - _LOG_SQRT_2PI
+                li = math.log(2.0) + t - 0.5 * z * z - LOG_SQRT_2PI
                 return math.exp(li) if li > -745.0 else 0.0
             big_x = math.exp(t)
             iv = math.sqrt(z * z + 2.0 * big_x) - abs(z)
             return iv * iv * _phi(z)
 
-        val += integrate(wing, -math.inf, z_lo, tol=0.5 * tol).value
+        val += integrate(far, -math.inf, z_lo, tol=0.5 * tol).value
     return val
 
 
@@ -300,15 +276,13 @@ def price_psi_c2(payoff: PayoffSpec, ts: TransformedSmile, tol: float = 1e-8,
     val += integrate(xleg, x0, xn, tol=share,
                      points=smile.x.tolist()).value
     val += integrate(xleg, xn, math.inf, tol=share).value
-    if smile.left_wing == "clamp":
+    wing = smile.wing
+    if wing is None:
         val += integrate(xleg, -math.inf, x0, tol=share).value
     else:
-        q = float(smile.left_wing_q)
-        c = smile._wing_anchor[1]
-
         def xleg_far(u: float) -> float:
-            a2 = 2.0 * q * u + c
-            lphi = -0.5 * a2 - _LOG_SQRT_2PI
+            a2 = wing.d2(u)
+            lphi = -0.5 * a2 - LOG_SQRT_2PI
             if lphi < -745.0:
                 return 0.0
             ex = math.exp(u)
@@ -381,7 +355,7 @@ def price_psi_ac(payoff: PayoffSpec, ts: TransformedSmile, tol: float = 1e-8,
         x = -ex
         iv = float(smile(x))
         gz = x / iv - 0.5 * iv
-        lead = ex - 0.5 * gz * gz - _LOG_SQRT_2PI
+        lead = ex - 0.5 * gz * gz - LOG_SQRT_2PI
         if lead < -745.0:
             return 0.0
         ivp = float(smile.derivative(x))
@@ -390,7 +364,8 @@ def price_psi_ac(payoff: PayoffSpec, ts: TransformedSmile, tol: float = 1e-8,
 
     u_cut = math.log(-x_cut)
     u_knots = [math.log(-float(xk)) for xk in smile.x if xk < 0.0]
-    if smile.left_wing != "corollary_expansion":
+    wing = smile.wing
+    if wing is None:
         val += integrate(hleg_far, u_cut, 709.0, tol=share,
                          points=u_knots).value
         return val
@@ -398,17 +373,15 @@ def price_psi_ac(payoff: PayoffSpec, ts: TransformedSmile, tol: float = 1e-8,
     # On the wing the e^{-x} and phi(g) exponents cancel exactly (g = -B,
     # B^2 = A^2 - 2x), leaving a bare power law; the float path above loses
     # that cancellation once |x| outgrows the double grid.
-    q = float(smile.left_wing_q)
-    c = smile._wing_anchor[1]
     u_edge = math.log(-x_edge)
 
     def hleg_far_wing(u: float) -> float:
-        lead = -q * u - 0.5 * c - _LOG_SQRT_2PI
+        a2 = wing.d2(u)
+        lead = -0.5 * a2 - LOG_SQRT_2PI
         if lead < -745.0:
             return 0.0
         eu = math.exp(u)
-        b = math.sqrt(2.0 * q * u + c + 2.0 * eu)
-        gp = (q / eu + 1.0) / b
+        gp = (wing.q / eu + 1.0) / math.sqrt(a2 + 2.0 * eu)
         return dpsi(-eu) * math.exp(lead) * gp * eu
 
     if u_cut < u_edge:

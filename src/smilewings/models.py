@@ -48,6 +48,7 @@ __all__ = [
     "model_put",
     "model_smile",
     "log_moment_oracle",
+    "fmls_mean_log_oracle",
     "ig_moment",
     "sample_paths",
 ]
@@ -576,6 +577,25 @@ def _fmls_abs_moment(alpha: float, scale: float, q: float, tol: float) -> float:
             w = float(special.binom(q, j)) * abs(mu) ** j
             p_exp = ak + j - q
             tail += b[k - 1] * ak * w * cut**-p_exp / p_exp
+    return body + tail
+
+
+@lru_cache(maxsize=None)
+def fmls_mean_log_oracle(alpha: float = 1.5, scale: float = 0.25) -> float:
+    """E[log S_T] by direct density quadrature plus the fitted power tail.
+
+    Independent of every option-pricing code path; the only shared inputs
+    are the stable density itself and the tail-coefficient fit.
+    """
+    mu = _fmls_drift(alpha, scale)
+    dist = _fmls_dist(alpha, scale)
+    body = integrate(lambda t: t * float(dist.pdf(t)), mu - 400.0, mu + 40.0,
+                     tol=1e-9, points=(0.0,)).value
+    cut = 400.0
+    tail = 0.0
+    for k, bk in enumerate(_tail_coeffs(alpha, scale), start=1):
+        ak = alpha * k
+        tail += bk * (mu * cut ** -ak - ak * cut ** (1.0 - ak) / (ak - 1.0))
     return body + tail
 
 

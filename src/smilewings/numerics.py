@@ -1,5 +1,5 @@
-"""Scalar numerical kernels: normal distribution, root finding, quadrature,
-and the negative branch of the Lambert W function.
+"""Scalar numerical kernels: normal distribution, log1mexp, quadrature, and
+the negative branch of the Lambert W function.
 
 Everything here is deterministic and side-effect free.  The normal CDF keeps
 full relative accuracy far into the left tail through :func:`log_norm_cdf`,
@@ -14,17 +14,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from scipy.integrate import quad as _quad
-from scipy.optimize import brentq as _brentq
 
-from .errors import (
-    DomainError,
-    MaxIterations,
-    NoSignChange,
-    ToleranceNotReached,
-)
+from .errors import DomainError, MaxIterations, ToleranceNotReached
 
 __all__ = [
-    "Bracket",
+    "LOG_SQRT_2PI",
     "QuadratureResult",
     "norm_cdf",
     "norm_pdf",
@@ -32,27 +26,15 @@ __all__ = [
     "mills_ratio",
     "log_mills_ratio",
     "log_mills_ratio_from_log",
-    "find_root",
+    "log1mexp",
     "integrate",
     "lambert_w_m1",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _NEG_INV_E = -math.exp(-1.0)
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """A closed interval known (or believed) to contain a root."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -80,6 +62,22 @@ def norm_pdf(z: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
+def log1mexp(u: float) -> float:
+    """log(1 - e^u) for u < 0, stable at both ends."""
+    if u >= 0.0:
+        raise DomainError("log1mexp requires a negative argument")
+    if u > -0.6931471805599453:
+        return math.log(-math.expm1(u))
+    return math.log1p(-math.exp(u))
+
+
+def _log_mills_series(inv: float) -> float:
+    """log of the asymptotic Mills series 1 - inv + 3 inv^2 - 15 inv^3 + ...
+    in inv = 1/z^2, through log1p of (series - 1)."""
+    return math.log1p(-inv * (1.0 - inv * (3.0 - inv * (15.0 - inv * (
+        105.0 - inv * (945.0 - inv * 10395.0))))))
+
+
 def log_norm_cdf(z: float) -> float:
     """log(Phi(z)), accurate over the whole real line.
 
@@ -93,10 +91,8 @@ def log_norm_cdf(z: float) -> float:
     if z >= -30.0:
         return math.log(0.5 * math.erfc(-z / _SQRT2))
     t = -z
-    inv = 1.0 / (t * t)
-    # s = (series) - 1, kept separate so log1p can be used
-    s = -inv * (1.0 - inv * (3.0 - inv * (15.0 - inv * (105.0 - inv * (945.0 - inv * 10395.0)))))
-    return -0.5 * t * t - math.log(t) - _LOG_SQRT_2PI + math.log1p(s)
+    return (-0.5 * t * t - math.log(t) - LOG_SQRT_2PI
+            + _log_mills_series(1.0 / (t * t)))
 
 
 def log_mills_ratio(z: float) -> float:
@@ -109,10 +105,8 @@ def log_mills_ratio(z: float) -> float:
     if z <= 0.0:
         raise DomainError("mills_ratio is defined for z > 0")
     if z >= 30.0:
-        inv = 1.0 / (z * z)
-        s = -inv * (1.0 - inv * (3.0 - inv * (15.0 - inv * (105.0 - inv * (945.0 - inv * 10395.0)))))
-        return -math.log(z) + math.log1p(s)
-    return math.log(0.5 * math.erfc(z / _SQRT2)) + 0.5 * z * z + _LOG_SQRT_2PI
+        return -math.log(z) + _log_mills_series(1.0 / (z * z))
+    return math.log(0.5 * math.erfc(z / _SQRT2)) + 0.5 * z * z + LOG_SQRT_2PI
 
 
 def log_mills_ratio_from_log(log_z: float) -> float:
@@ -125,52 +119,12 @@ def log_mills_ratio_from_log(log_z: float) -> float:
     """
     if log_z < 3.5:
         return log_mills_ratio(math.exp(log_z))
-    inv = math.exp(-2.0 * log_z)
-    s = -inv * (1.0 - inv * (3.0 - inv * (15.0 - inv * (105.0 - inv * (945.0 - inv * 10395.0)))))
-    return -log_z + math.log1p(s)
+    return -log_z + _log_mills_series(math.exp(-2.0 * log_z))
 
 
 def mills_ratio(z: float) -> float:
     """Phi(-z)/phi(z) for z > 0, computed in log space to survive deep z."""
     return math.exp(log_mills_ratio(z))
-
-
-def find_root(
-    f: Callable[[float], float],
-    bracket: Bracket | tuple[float, float],
-    tol: float = 1e-12,
-) -> float:
-    """Root of ``f`` inside ``bracket`` by Brent's method.
-
-    Raises :class:`NoSignChange` when the endpoints do not straddle a sign
-    change, and :class:`MaxIterations` (with the best iterate attached) if
-    the iteration limit is hit.
-    """
-    if isinstance(bracket, tuple):
-        bracket = Bracket(*bracket)
-    f_lo = f(bracket.lo)
-    f_hi = f(bracket.hi)
-    if f_lo == 0.0:
-        return bracket.lo
-    if f_hi == 0.0:
-        return bracket.hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise NoSignChange(
-            f"f({bracket.lo}) = {f_lo} and f({bracket.hi}) = {f_hi} have the same sign"
-        )
-    root, info = _brentq(
-        f,
-        bracket.lo,
-        bracket.hi,
-        xtol=tol,
-        rtol=8.9e-16,
-        maxiter=100,
-        full_output=True,
-        disp=False,
-    )
-    if not info.converged:
-        raise MaxIterations("brent iteration did not converge", best=root)
-    return float(root)
 
 
 def integrate(

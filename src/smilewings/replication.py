@@ -15,9 +15,10 @@ from typing import Callable, Literal
 import numpy as np
 from numpy.typing import NDArray
 
-from .blackscholes import NormalizedPutPrice, SmileCurve, _log1mexp, call_price, put_price
+from .blackscholes import NormalizedPutPrice, SmileCurve, WingForm, call_price, put_price
 from .errors import DivergentWing, DomainError
-from .numerics import integrate, log_mills_ratio, log_mills_ratio_from_log, log_norm_cdf
+from .numerics import integrate, log1mexp, log_mills_ratio, log_mills_ratio_from_log, \
+    log_norm_cdf
 
 __all__ = [
     "OptionChain",
@@ -157,26 +158,24 @@ def _check_left_decay(smile: SmileCurve) -> None:
             "log-contract strip divergent")
 
 
-def _wing_strip_far(smile: SmileCurve) -> Callable[[float], float]:
+def _wing_strip_far(wing: WingForm) -> Callable[[float], float]:
     """Far-left strip integrand in u = log|x|, taken straight from the wing.
 
     On the wing the price arguments collapse exactly: d = A(u) and
     d + sigma = B(u) = sqrt(A^2 + 2 e^u), so the integrand needs only
-    (q, c).  Going through the rounded vol instead breaks down past
-    |x| ~ 1e31, where ulp(sigma/2) exceeds A and d is irrecoverable.
+    A^2 = wing.d2(u).  Going through the rounded vol instead breaks down
+    past |x| ~ 1e31, where ulp(sigma/2) exceeds A and d is irrecoverable.
     """
-    q = float(smile.left_wing_q)
-    _, c = smile._wing_anchor
 
-    def wing(u: float) -> float:
-        a = math.sqrt(max(2.0 * q * u + c, 1e-300))
+    def far(u: float) -> float:
+        a = math.sqrt(max(wing.d2(u), 1e-300))
         t = a * a * math.exp(-u)
         log_b = 0.5 * (u + math.log(2.0 + t))
         gap = log_mills_ratio_from_log(log_b) - log_mills_ratio(a)
-        arg = log_norm_cdf(-a) + _log1mexp(min(gap, -1e-300)) + u
+        arg = log_norm_cdf(-a) + log1mexp(min(gap, -1e-300)) + u
         return math.exp(arg) if arg > -745.0 else 0.0
 
-    return wing
+    return far
 
 
 def log_contract_strip(smile: SmileCurve, tol: float = 1e-8) -> float:
@@ -222,7 +221,8 @@ def log_contract_strip(smile: SmileCurve, tol: float = 1e-8) -> float:
             u_knots = np.log(-knots[knots < xc]).tolist()
             total += integrate(far, math.log(-xc), u_grid, tol=part,
                                points=u_knots).value
-        total += integrate(_wing_strip_far(smile), u_grid, math.inf, tol=part).value
+        total += integrate(_wing_strip_far(smile.wing), u_grid, math.inf,
+                           tol=part).value
     else:
         xc = min(float(knots[0]), -8.0)
         part = tol / 3.0

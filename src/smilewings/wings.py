@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .blackscholes import SmileCurve, d_minus
+from .blackscholes import SmileCurve, WingForm, d_minus
 from .errors import DomainError, EmptyTail, NonPositiveVol
 from .numerics import lambert_w_m1
 
@@ -168,8 +168,7 @@ def iv_wing_bound(x: float, p: float) -> float:
         raise DomainError(f"iv_wing_bound requires x < -1, got {x}")
     if math.isnan(p) or p < 0.0:
         raise DomainError(f"iv_wing_bound requires p >= 0, got {p}")
-    s = 2.0 * p * math.log(-x)
-    return math.sqrt(s - 2.0 * x) - math.sqrt(s)
+    return float(WingForm(p, 0.0).vol(x))
 
 
 def log_moment_statistic(x: float, smile: SmileCurve) -> float:
@@ -199,11 +198,11 @@ def wing_expansion(x: float, q: float) -> WingExpansion:
         raise DomainError(f"wing_expansion requires x < -1, got {x}")
     if math.isnan(q) or q < 0.0:
         raise DomainError(f"wing_expansion requires q >= 0, got {q}")
+    form = WingForm(q, 0.0)
     lg = math.log(-x)
-    s = 2.0 * q * lg
-    exact = math.sqrt(s - 2.0 * x) - math.sqrt(s)
-    series = math.sqrt(-2.0 * x) - math.sqrt(s) + q * lg / math.sqrt(-2.0 * x)
-    return WingExpansion(exact, series)
+    series = (math.sqrt(-2.0 * x) - math.sqrt(form.d2(lg))
+              + q * lg / math.sqrt(-2.0 * x))
+    return WingExpansion(float(form.vol(x)), series)
 
 
 @dataclass(frozen=True)
@@ -223,11 +222,6 @@ class WingReport:
         xs = [s[0] for s in self.statistic_samples]
         if any(b >= a for a, b in zip(xs, xs[1:])):
             raise DomainError("statistic_samples must have strictly decreasing x")
-
-
-def _exact_form_arr(xs: np.ndarray, q: float) -> np.ndarray:
-    s = 2.0 * q * np.log(-xs)
-    return np.sqrt(s - 2.0 * xs) - np.sqrt(s)
 
 
 def estimate_q(
@@ -256,7 +250,6 @@ def estimate_q(
     ivs = np.asarray(smile(arr), dtype=float)
     if np.any(ivs <= 0.0):
         raise NonPositiveVol("smile returned a non-positive vol on the tail")
-    lee_cap = np.sqrt(-2.0 * arr)
     violations = tuple(
         (float(x), f"I({x:g}) = {iv:.9g} breaches the sqrt(2|x|) boundary")
         for x, iv in zip(arr, ivs) if iv >= math.sqrt(-2.0 * x))
@@ -270,7 +263,7 @@ def estimate_q(
         residual = float(np.sqrt(np.mean((stats * stats - q_hat) ** 2)))
     else:
         def obj(q: float) -> float:
-            return float(np.sum((ivs - _exact_form_arr(arr, q)) ** 2))
+            return float(np.sum((ivs - WingForm(q, 0.0).vol(arr)) ** 2))
 
         res = minimize_scalar(obj, bounds=(0.0, 1.5 * q_ceiling),
                               method="bounded", options={"xatol": 1e-12})

@@ -224,6 +224,13 @@ def test_corollary_wing_validation():
     assert sm.left_wing_q == 1.5
 
 
+def test_out_of_range_slope_is_rejected():
+    # The secant slopes here are finite, but the monotone cubic's end-point
+    # slope overflows; the curve must refuse the grid up front.
+    with pytest.raises(DomainError, match=r"knots \(-3, 0.5\) and \(-2, 1e\+308\)"):
+        SmileCurve.from_points([(-3.0, 0.5), (-2.0, 1e308), (0.0, 0.2)])
+
+
 def test_flat_and_from_points_constructors():
     sm = SmileCurve.flat(0.3)
     assert sm(0.0) == 0.3 and sm(-100.0) == 0.3 and sm(17.0) == 0.3
@@ -275,8 +282,8 @@ def test_corollary_wing_continuity_and_shape():
     for x in (-10.0, -1e3, -1e8):
         iv = sm(x)
         d = d_minus(x, iv)
-        _, c = sm._wing_anchor
-        assert math.isclose(d * d, 2.0 * 1.5 * math.log(-x) + c, rel_tol=1e-9)
+        assert math.isclose(d * d, 2.0 * 1.5 * math.log(-x) + sm.wing.c,
+                            rel_tol=1e-9)
     # wing derivative agrees with a finite difference
     for x in (-12.0, -300.0):
         fd = (sm(x + 1e-5) - sm(x - 1e-5)) / 2e-5

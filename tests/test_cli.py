@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from smilewings import cli
-from smilewings.blackscholes import SmileCurve
+from smilewings.blackscholes import SmileCurve, WingForm
 from smilewings.fileio import CHAIN_HEADER, write_smile_csv
-from smilewings.wings import _exact_form_arr
 
 PUT_ATM_02 = "0.079655674554057984"   # flat-0.2 normalized put at x = 0
 
@@ -130,7 +129,7 @@ class TestIv:
 class TestWingFit:
     def _exact_file(self, tmp_path, q):
         xs = np.array([-15.0, -12.0, -10.0, -8.0, -6.0, -5.0])
-        sm = SmileCurve(xs, _exact_form_arr(xs, q), interpolation="linear")
+        sm = SmileCurve(xs, WingForm(q, 0.0).vol(xs), interpolation="linear")
         return write_smile(tmp_path / "smile.csv", sm)
 
     def test_recovers_tail_index(self, tmp_path, capsys):
@@ -309,15 +308,17 @@ class TestSmileGen:
 
 class TestVerifyAndParser:
     def test_verify_special_functions(self, tmp_path, capsys):
-        out = tmp_path / "verify.json"
-        code, _, _ = run_cli(["verify", "--only", "special",
-                              "--output", str(out)], capsys)
-        doc = json.loads(out.read_text())
-        assert code == 0
-        assert doc["all_passed"] is True
-        assert len(doc["checks"]) == 1
-        assert "special" in doc["checks"][0]["name"]
-        assert doc["checks"][0]["passed"] is True
+        # iv-roundtrip reports a numpy bool, which must serialize as well
+        for token in ("special", "iv-roundtrip"):
+            out = tmp_path / "verify.json"
+            code, _, _ = run_cli(["verify", "--only", token,
+                                  "--output", str(out)], capsys)
+            doc = json.loads(out.read_text())
+            assert code == 0
+            assert doc["all_passed"] is True
+            assert len(doc["checks"]) == 1
+            assert token in doc["checks"][0]["name"]
+            assert doc["checks"][0]["passed"] is True
 
     def test_unknown_flag_is_exit_1(self, capsys):
         code, _, _ = run_cli(["varswap", "--frobnicate"], capsys)
@@ -331,3 +332,33 @@ class TestVerifyAndParser:
         cfgfile = write_text(tmp_path / "run.cfg", "tol\n")
         code, _, err = run_cli(["varswap", "--config", cfgfile], capsys)
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["varswap", "--input", "{smile}"],
+        ["wing-fit", "--input", "{smile}", "--x-min=-3", "--x-max=-1.5"],
+        ["iv", "--input", "{chain}"],
+        ["varswap", "--config", "{cfg}", "--input", "{smile}"],
+    ])
+    def test_undecodable_input_is_exit_1(self, tmp_path, capsys, argv):
+        (tmp_path / "s.csv").write_bytes(
+            b"log_moneyness,implied_vol\n-3,0.3\n-2,0.25\xff\n")
+        (tmp_path / "c.csv").write_bytes(
+            (CHAIN_HEADER + "\n").encode() + b"-1.0,0.25\xff,implied_vol\n")
+        (tmp_path / "run.cfg").write_bytes(b"tol = 1e-6\xff\n")
+        paths = {"smile": str(tmp_path / "s.csv"), "chain": str(tmp_path / "c.csv"),
+                 "cfg": str(tmp_path / "run.cfg")}
+        code, _, err = run_cli([a.format(**paths) for a in argv], capsys)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "not valid utf-8" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["varswap"],
+        ["wing-fit", "--x-min=-3", "--x-max=-1.5"],
+    ])
+    def test_out_of_range_knot_is_exit_2(self, tmp_path, capsys, argv):
+        path = write_text(tmp_path / "s.csv",
+                          "log_moneyness,implied_vol\n-3,0.5\n-2,1e308\n0,0.2\n")
+        code, _, err = run_cli(argv + ["--input", path], capsys)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1

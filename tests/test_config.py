@@ -57,6 +57,12 @@ class TestConfigFile:
         with pytest.raises(FileFormatError, match="run.cfg"):
             load_config_file(p)
 
+    def test_undecodable_byte_reports_path_and_line(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"tol = 1e-6\nseed = 7\xff\n")
+        with pytest.raises(FileFormatError, match="run.cfg: line 2"):
+            load_config_file(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileFormatError):
             load_config_file(tmp_path / "absent.cfg")

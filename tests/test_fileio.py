@@ -135,6 +135,12 @@ class TestSmileFiles:
         with pytest.raises(FileFormatError):
             read_smile_csv(buf)
 
+    def test_undecodable_byte_reports_line(self):
+        data = (SMILE_HEADER + "\n-2.0,0.3\n").encode() + b"-1.0,0.2\xff\n"
+        buf = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        with pytest.raises(FileFormatError, match="line 3: not valid utf-8"):
+            read_smile_csv(buf)
+
 
 class TestChainFiles:
     def test_row_validation(self):
@@ -170,3 +176,11 @@ class TestChainFiles:
     def test_bad_header_is_fatal(self):
         with pytest.raises(FileFormatError):
             read_chain_csv(io.StringIO("a,b,c\n1,2,put_price\n"))
+
+    def test_undecodable_byte_reports_line(self):
+        # the bad byte sits past the first 8 KiB the text layer decodes
+        rows = "".join("-1.0,0.2,implied_vol\n" for _ in range(600))
+        data = (CHAIN_HEADER + "\n" + rows).encode() + b"\xff,0.2,put_price\n"
+        buf = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        with pytest.raises(FileFormatError, match="line 602: not valid utf-8"):
+            read_chain_csv(buf)

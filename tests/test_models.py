@@ -193,6 +193,11 @@ def test_pricing_tiers_agree_at_their_seams():
         lm = float(_fmls_log_put_mid(np.array([x]), ALPHA, SCALE)[0])
         ld = float(_fmls_log_put_deep(np.array([x]), ALPHA, SCALE)[0])
         assert abs(lm - ld) < 1e-7
+    # Laguerre-mid versus damped Fourier across the x = -2 handover
+    for x in (-2.0, -2.1):
+        p_mid = math.exp(float(_fmls_log_put_mid(np.array([x]), ALPHA, SCALE)[0]))
+        p_cm = _fmls_call_cm(x, ALPHA, SCALE, 1e-10) - 1.0 + math.exp(x)
+        assert abs(p_cm / p_mid - 1.0) < 1e-9
     # damped Fourier versus density quadrature across x = 0.5
     for x in (0.4, 0.5):
         c1 = _fmls_call_cm(x, ALPHA, SCALE, 1e-10)

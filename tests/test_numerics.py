@@ -1,4 +1,4 @@
-"""Scalar kernels: normal tails, Mills ratios, Brent, quadrature, Lambert W.
+"""Scalar kernels: normal tails, Mills ratios, quadrature, Lambert W.
 
 Reference values were generated once with mpmath at 50 digits and are
 frozen here as literals; the library itself never depends on mpmath.
@@ -15,13 +15,10 @@ from hypothesis import strategies as st
 
 from smilewings.errors import (
     DomainError,
-    NoSignChange,
     ToleranceNotReached,
 )
 from smilewings.numerics import (
-    Bracket,
     QuadratureResult,
-    find_root,
     integrate,
     lambert_w_m1,
     log_mills_ratio,
@@ -104,33 +101,6 @@ def test_log_mills_ratio_from_log_past_float_overflow():
     # answers (the series correction underflows to exactly zero there).
     assert log_mills_ratio_from_log(800.0) == -800.0
     assert log_mills_ratio_from_log(1e6) == -1e6
-
-
-def test_bracket_validation():
-    with pytest.raises(DomainError):
-        Bracket(1.0, 1.0)
-    with pytest.raises(DomainError):
-        Bracket(2.0, -1.0)
-
-
-def test_find_root_basic():
-    root = find_root(lambda t: t * t - 2.0, (0.0, 2.0))
-    assert math.isclose(root, math.sqrt(2.0), rel_tol=1e-12)
-
-
-def test_find_root_exact_endpoint():
-    assert find_root(lambda t: t - 1.0, (1.0, 3.0)) == 1.0
-    assert find_root(lambda t: t - 3.0, (1.0, 3.0)) == 3.0
-
-
-def test_find_root_no_sign_change():
-    with pytest.raises(NoSignChange):
-        find_root(lambda t: t * t + 1.0, (-1.0, 1.0))
-
-
-def test_find_root_accepts_bracket_object():
-    root = find_root(math.cos, Bracket(1.0, 2.0))
-    assert math.isclose(root, 0.5 * math.pi, rel_tol=1e-12)
 
 
 def test_integrate_polynomial():

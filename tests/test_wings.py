@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smilewings.blackscholes import SmileCurve
+from smilewings.blackscholes import SmileCurve, WingForm
 from smilewings.errors import DomainError, EmptyTail, NonPositiveVol
 from smilewings.wings import (
     MomentIndices,
     WingReport,
-    _exact_form_arr,
     estimate_q,
     iv_wing_bound,
     lee_beta_to_p,
@@ -198,7 +197,7 @@ class TestEstimator:
     def test_exact_recovery_min_statistic(self):
         for q in (0.5, 1.5, 3.0):
             xs = np.sort(-np.geomspace(1e2, 1e6, 25))
-            sm = SmileCurve(xs, _exact_form_arr(xs, q), interpolation="linear")
+            sm = SmileCurve(xs, WingForm(q, 0.0).vol(xs), interpolation="linear")
             rep = estimate_q(sm, xs.tolist())
             assert abs(rep.q_hat - q) < 1e-10
             assert rep.residual < 1e-10
@@ -208,7 +207,7 @@ class TestEstimator:
     def test_exact_recovery_least_squares(self):
         for q in (0.5, 3.0):
             xs = np.sort(-np.geomspace(1e2, 1e6, 25))
-            sm = SmileCurve(xs, _exact_form_arr(xs, q), interpolation="linear")
+            sm = SmileCurve(xs, WingForm(q, 0.0).vol(xs), interpolation="linear")
             rep = estimate_q(sm, xs.tolist(), method="least-squares")
             assert abs(rep.q_hat - q) < 1e-6
             assert rep.method == "least-squares"
