@@ -355,8 +355,10 @@ class SmileCurve:
         if self.right_wing != "clamp":
             raise DomainError(f"unknown right wing {self.right_wing!r}")
         if self.left_wing == "corollary_expansion":
-            if self.left_wing_q is None or self.left_wing_q < 0.0:
-                raise DomainError("corollary_expansion needs left_wing_q >= 0")
+            q = self.left_wing_q
+            if q is None or not 0.0 <= q < math.inf:
+                raise DomainError(
+                    f"corollary_expansion needs a finite left_wing_q >= 0, got {q}")
             if x[0] >= -1.0:
                 raise DomainError(
                     "corollary_expansion needs the boundary knot at x < -1")

@@ -122,10 +122,15 @@ def build_transform(smile: SmileCurve, tol: float = 1e-8) -> TransformedSmile:
             raise NotMonotone(
                 f"{name} fails to increase on [{dense[i]:.6g}, {dense[i+1]:.6g}]",
                 interval=(float(dense[i]), float(dense[i + 1])))
+    wing = smile.wing
+    if wing is not None and wing.q == 0.0:
+        # f = -sqrt(c) all along a q = 0 wing, so f has no inverse there.
+        x0 = float(smile.x[0])
+        raise NotMonotone(f"f is constant on the q = 0 left wing below x = {x0:.6g}",
+                          interval=(-math.inf, x0))
 
     sig_lo = float(iv_dense[0])
     sig_hi = float(iv_dense[-1])
-    wing = smile.wing
 
     def f_of(x: float) -> float:
         return float(f_transform(x, smile))

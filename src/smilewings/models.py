@@ -10,10 +10,12 @@ Three exactly-normalized (E[S_T] = 1, T = 1) models of L = log S_T:
   Y inverse-gamma(y_shape, y_scale) independent; |L| has moments exactly
   up to y_shape.
 
-FMLS put prices are produced by three stitched regimes: Carr-Madan
-Fourier inversion near the money, a Gauss-Laguerre convolution of the cdf
-in the mid wing, and a pure tail-series regime deep out (where only the
-log channel of the price is representable).
+FMLS put prices are produced by four stitched regimes: a pure tail series
+for x <= -120 (where only the log channel of the price is representable),
+a Gauss-Laguerre convolution of the cdf for -120 < x < -2, Carr-Madan
+Fourier inversion of the call for -2 <= x <= 0.5, and a call by density
+quadrature above 0.5.  ``model_smile`` prices its whole grid in one call
+and warns about dropped points in grid order.
 """
 
 from __future__ import annotations
@@ -123,6 +125,7 @@ class LogMixture:
 
 
 ModelSpec = Union[Lognormal, FMLS, LogMixture]
+PutOutcome = Union[NormalizedPutPrice, ToleranceNotReached, DomainError]
 
 
 @dataclass(frozen=True)
@@ -228,9 +231,14 @@ def char_exponent(model: ModelSpec, u: complex) -> complex:
 # FMLS distribution helpers
 
 
+# A private S1 instance: scipy's shared ``levy_stable`` object is left as
+# its other users configured it.
+_S1_STABLE = type(levy_stable)(name="levy_stable")
+_S1_STABLE.parameterization = "S1"
+
+
 def _fmls_dist(alpha: float, scale: float):
-    levy_stable.parameterization = "S1"
-    return levy_stable(alpha, -1.0, loc=_fmls_drift(alpha, scale), scale=scale)
+    return _S1_STABLE(alpha, -1.0, loc=_fmls_drift(alpha, scale), scale=scale)
 
 
 @lru_cache(maxsize=16)
@@ -247,8 +255,7 @@ def _tail_coeffs(alpha: float, scale: float) -> tuple[float, float, float]:
         * scale**alpha
     mu = _fmls_drift(alpha, scale)
     lam = scale * np.geomspace(80.0, 450.0, 48)
-    levy_stable.parameterization = "S1"
-    ref = levy_stable.cdf(mu - lam, alpha, -1.0, loc=mu, scale=scale)
+    ref = _fmls_dist(alpha, scale).cdf(mu - lam)
     rel = ref / (b1 * lam**-alpha) - 1.0
     design = np.column_stack([lam**-alpha, lam**(-2.0 * alpha)])
     coef, *_ = np.linalg.lstsq(design, rel, rcond=None)
@@ -287,7 +294,9 @@ def _fmls_log_put_mid(xs: np.ndarray, alpha: float, scale: float) -> np.ndarray:
     t, w = _gl_rule()
     ells = xs[:, None] - t[None, :]
     f_vals = _fmls_cdf(ells.ravel(), alpha, scale).reshape(ells.shape)
-    pe = f_vals @ w
+    # Row by row: a many-row product can round differently from one row,
+    # and a strike's price must not depend on the grid around it.
+    pe = np.array([row @ w for row in f_vals])
     return xs + np.log(pe)
 
 
@@ -363,41 +372,44 @@ _CM_LO = -2.0
 _MID_LO = -120.0
 
 
+def _captured(price: Callable[..., NormalizedPutPrice], *args) -> PutOutcome:
+    """The price, or the ToleranceNotReached / DomainError it raised."""
+    try:
+        return price(*args)
+    except (ToleranceNotReached, DomainError) as exc:
+        return exc
+
+
+def _fmls_put_near(x: float, alpha: float, scale: float,
+                   tol: float) -> NormalizedPutPrice:
+    """Put from the call by parity: Carr-Madan up to x = 0.5, density above."""
+    call = _fmls_call_cm if x <= _CM_HI else _fmls_call_density
+    c_val = call(x, alpha, scale, tol)
+    p = c_val - 1.0 + math.exp(x)
+    if x > 0.0:
+        if not c_val > 0.0:
+            raise ToleranceNotReached(
+                f"call time value at x = {x} under-resolves", value=c_val)
+        return NormalizedPutPrice(max(p, math.expm1(x)),
+                                  log_time_value=math.log(c_val))
+    if not p > 0.0:
+        raise ToleranceNotReached(f"put at x = {x} under-resolves", value=p)
+    return NormalizedPutPrice(p)
+
+
 def _fmls_put_points(xs: np.ndarray, alpha: float, scale: float,
-                     tol: float) -> list[NormalizedPutPrice]:
-    """Price puts at all xs, batching the wing regimes."""
-    xs = np.asarray(xs, dtype=float)
-    out: list[NormalizedPutPrice | None] = [None] * xs.size
+                     tol: float) -> list[PutOutcome]:
+    """Price puts at all xs, batching the two wing regimes (log channel)."""
+    out: list[PutOutcome | None] = [None] * xs.size
     mid = (xs > _MID_LO) & (xs < _CM_LO)
     deep = xs <= _MID_LO
-    if np.any(mid):
-        logs = _fmls_log_put_mid(xs[mid], alpha, scale)
-        for idx, lp in zip(np.nonzero(mid)[0], logs):
-            p = math.exp(lp) if lp > -745.0 else 0.0
-            out[idx] = NormalizedPutPrice(p, log_p=float(lp))
-    if np.any(deep):
-        logs = _fmls_log_put_deep(xs[deep], alpha, scale)
-        for idx, lp in zip(np.nonzero(deep)[0], logs):
+    for mask, log_put in ((mid, _fmls_log_put_mid), (deep, _fmls_log_put_deep)):
+        lps = log_put(xs[mask], alpha, scale) if np.any(mask) else ()
+        for idx, lp in zip(np.nonzero(mask)[0], lps):
             p = math.exp(lp) if lp > -745.0 else 0.0
             out[idx] = NormalizedPutPrice(p, log_p=float(lp))
     for idx in np.nonzero(~(mid | deep))[0]:
-        x = float(xs[idx])
-        if x <= _CM_HI:
-            c_val = _fmls_call_cm(x, alpha, scale, tol)
-        else:
-            c_val = _fmls_call_density(x, alpha, scale, tol)
-        p = c_val - 1.0 + math.exp(x)
-        if x > 0.0:
-            if not c_val > 0.0:
-                raise ToleranceNotReached(
-                    f"call time value at x = {x} under-resolves", value=c_val)
-            out[idx] = NormalizedPutPrice(max(p, math.expm1(x)),
-                                          log_time_value=math.log(c_val))
-        else:
-            if not p > 0.0:
-                raise ToleranceNotReached(
-                    f"put at x = {x} under-resolves", value=p)
-            out[idx] = NormalizedPutPrice(p)
+        out[idx] = _captured(_fmls_put_near, float(xs[idx]), alpha, scale, tol)
     return out  # type: ignore[return-value]
 
 
@@ -444,25 +456,34 @@ def _mixture_put(model: LogMixture, x: float, tol: float) -> NormalizedPutPrice:
 # public pricing entry points
 
 
+def _put_points(model: ModelSpec, xs: np.ndarray, tol: float) -> list[PutOutcome]:
+    """Each x's put price, or the ToleranceNotReached / DomainError raised
+    for it: the one dispatch of put pricing on the model type."""
+    if isinstance(model, FMLS):
+        return _fmls_put_points(xs, model.alpha, model.scale, tol)
+    if isinstance(model, Lognormal):
+        return [_captured(put_price, float(x), model.sigma) for x in xs]
+    if isinstance(model, LogMixture):
+        return [_captured(_mixture_put, model, float(x), tol) for x in xs]
+    raise Unsupported(f"cannot price under {type(model).__name__}")
+
+
 def model_put(model: ModelSpec, x: float, tol: float = 1e-10) -> NormalizedPutPrice:
     """Normalized put price at log-moneyness x under the given model."""
     x = float(x)
     if not math.isfinite(x):
         raise DomainError("x must be finite")
-    if isinstance(model, Lognormal):
-        return put_price(x, model.sigma)
-    if isinstance(model, FMLS):
-        return _fmls_put_points(np.array([x]), model.alpha, model.scale, tol)[0]
-    if isinstance(model, LogMixture):
-        return _mixture_put(model, x, tol)
-    raise Unsupported(f"cannot price under {type(model).__name__}")
+    price = _put_points(model, np.array([x]), tol)[0]
+    if isinstance(price, SmileWingsError):
+        raise price
+    return price
 
 
 def model_smile(model: ModelSpec, x_grid, tol: float = 1e-10,
                 **smile_kwargs) -> SmileCurve:
     """Implied-vol smile on a grid; the certified moment order is recorded
-    on the curve.  Points whose price under-resolves are dropped with a
-    warning rather than poisoning the whole curve."""
+    on the curve.  Points that fail to price or invert are dropped with a
+    warning, in grid order, rather than poisoning the whole curve."""
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if xs.ndim != 1 or xs.size == 0:
         raise DomainError("x_grid must be a nonempty 1-d array")
@@ -473,40 +494,19 @@ def model_smile(model: ModelSpec, x_grid, tol: float = 1e-10,
 
     kept_x: list[float] = []
     kept_v: list[float] = []
-
-    def push(x: float, price: NormalizedPutPrice) -> None:
-        try:
-            v = implied_vol(x, price)
-        except SmileWingsError as exc:
-            warnings.warn(f"dropping x = {x}: {exc}", stacklevel=3)
-            return
-        if v <= 0.0:
-            warnings.warn(
-                f"dropping x = {x}: price indistinguishable from intrinsic",
-                stacklevel=3)
-            return
+    for x, price in zip(xs.tolist(), _put_points(model, xs, tol)):
+        reason = price
+        if isinstance(price, NormalizedPutPrice):
+            try:
+                v = implied_vol(x, price)
+                reason = "price indistinguishable from intrinsic" if v <= 0.0 else None
+            except SmileWingsError as exc:
+                reason = exc
+        if reason is not None:
+            warnings.warn(f"dropping x = {x}: {reason}", stacklevel=2)
+            continue
         kept_x.append(x)
         kept_v.append(v)
-
-    if isinstance(model, FMLS):
-        prices: list[NormalizedPutPrice | None] = []
-        for x in xs:
-            try:
-                prices.append(model_put(model, float(x), tol=tol))
-            except (ToleranceNotReached, DomainError) as exc:
-                warnings.warn(f"dropping x = {x}: {exc}", stacklevel=2)
-                prices.append(None)
-        for x, pr in zip(xs, prices):
-            if pr is not None:
-                push(float(x), pr)
-    else:
-        for x in xs:
-            try:
-                pr = model_put(model, float(x), tol=tol)
-            except (ToleranceNotReached, DomainError) as exc:
-                warnings.warn(f"dropping x = {x}: {exc}", stacklevel=2)
-                continue
-            push(float(x), pr)
 
     if len(kept_x) == 0:
         raise DomainError("no grid point produced a usable implied vol")

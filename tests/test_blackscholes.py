@@ -216,6 +216,10 @@ def test_corollary_wing_validation():
     with pytest.raises(DomainError):  # missing q
         SmileCurve(np.array([-5.0, 0.0]), _vols(2),
                    left_wing="corollary_expansion")
+    for q in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="left_wing_q"):
+            SmileCurve(np.array([-5.0, 0.0]), _vols(2),
+                       left_wing="corollary_expansion", left_wing_q=q)
     with pytest.raises(DomainError):  # boundary knot not deep enough
         SmileCurve(np.array([-0.5, 0.0]), _vols(2),
                    left_wing="corollary_expansion", left_wing_q=1.5)

@@ -238,11 +238,17 @@ class TestVarswap:
         assert abs(float(lines[2].split(",")[1]) - 0.04) < 1e-7
 
     def test_non_monotone_transform_is_exit_2(self, tmp_path, capsys):
-        sm = SmileCurve(np.array([-2.0, -1.0]), np.array([0.5, 0.1]))
-        path = write_smile(tmp_path / "steep.csv", sm)
-        code, _, err = run_cli(["varswap", "--input", path, "--method", "gf"],
-                               capsys)
-        assert code == 2 and "error:" in err
+        steep = SmileCurve(np.array([-2.0, -1.0]), np.array([0.5, 0.1]))
+        # A q = 0 corollary wing holds f at -sqrt(c): constant, not invertible.
+        flat_f = SmileCurve.from_points(
+            [(-3.0, 0.9), (-2.0, 0.7), (-1.0, 0.5), (0.0, 0.3)],
+            left_wing="corollary_expansion", left_wing_q=0.0)
+        for name, sm in (("steep.csv", steep), ("q0.csv", flat_f)):
+            path = write_smile(tmp_path / name, sm)
+            code, _, err = run_cli(["varswap", "--input", path,
+                                    "--method", "gf"], capsys)
+            assert code == 2 and err.count("error:") == 1, (name, err)
+            assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

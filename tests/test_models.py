@@ -17,7 +17,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import levy_stable
 
-from smilewings.blackscholes import put_price
+from smilewings.blackscholes import implied_vol, put_price
 from smilewings.errors import DomainError, ToleranceNotReached, Unsupported
 from smilewings.models import (
     FMLS,
@@ -31,6 +31,7 @@ from smilewings.models import (
     _fmls_log_put_deep,
     _fmls_log_put_mid,
     _tail_cdf,
+    _tail_coeffs,
     certified_q,
     char_exponent,
     ig_moment,
@@ -227,6 +228,46 @@ def test_moment_dichotomy_proxy():
              for lam in (1e2, 1e4, 1e6)]
         gaps = [b - a for a, b in zip(t, t[1:])]
         assert all((g > 0.0) == increasing for g in gaps), (q, t)
+
+
+def test_model_smile_matches_per_point_pricing():
+    # Several strikes in each FMLS regime (deep series, Laguerre, Carr-Madan,
+    # density call) and x = 2.5, which sits below the density noise floor.
+    grid = np.array([-1000.0, -150.0, -120.0, -119.0, -12.0, -5.0, -2.5,
+                     -2.0, -1.0, 0.0, 0.5, 0.8, 2.5])
+    kept_x, kept_v = [], []
+    for x in grid.tolist():
+        try:
+            price = model_put(JUMP, x)
+        except ToleranceNotReached:
+            continue
+        kept_x.append(x)
+        kept_v.append(implied_vol(x, price))
+    assert kept_x == grid.tolist()[:-1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sm = model_smile(JUMP, grid)
+    assert sm.x.tolist() == kept_x
+    assert sm.vol.tolist() == kept_v
+    assert [str(w.message) for w in caught] == [
+        "dropping x = 2.5: call at x = 2.5 is below the density noise floor"]
+    assert caught[0].filename == __file__
+
+
+def test_pricing_leaves_scipy_levy_stable_alone():
+    xs = (-150.0, -5.0, 0.0, 0.8)  # one strike per FMLS regime
+    saved = levy_stable.parameterization
+    levy_stable.parameterization = "S1"
+    try:
+        _tail_coeffs.cache_clear()
+        ref = [model_put(JUMP, x) for x in xs] + [log_moment_oracle(JUMP, 1.0)]
+        levy_stable.parameterization = "S0"
+        _tail_coeffs.cache_clear()
+        got = [model_put(JUMP, x) for x in xs] + [log_moment_oracle(JUMP, 1.0)]
+        assert levy_stable.parameterization == "S0"
+    finally:
+        levy_stable.parameterization = saved
+    assert got == ref
 
 
 def test_model_put_dispatch():

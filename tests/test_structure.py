@@ -28,3 +28,47 @@ def test_no_private_imports_across_modules():
     assert len(modules) > 5
     offenders = [hit for path in modules for hit in _private_sibling_imports(path)]
     assert offenders == []
+
+
+def _attribute_writes_to_imports(path: Path) -> list[str]:
+    """Assignments (and deletions) through an attribute or item of a name
+    the module imported, e.g. ``levy_stable.parameterization = "S1"``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+
+    def flat(target: ast.expr) -> list[ast.expr]:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return [t for elt in target.elts for t in flat(elt)]
+        if isinstance(target, ast.Starred):
+            return flat(target.value)
+        return [target]
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in (t for top in targets for t in flat(top)):
+            root = target
+            while isinstance(root, (ast.Attribute, ast.Subscript)):
+                root = root.value
+            if root is not target and isinstance(root, ast.Name) \
+                    and root.id in imported:
+                found.append(f"{path.name}:{node.lineno} writes "
+                             f"{ast.unparse(target)}")
+    return found
+
+
+def test_no_writes_to_imported_objects():
+    # Module state of numpy, scipy or a sibling module is shared with every
+    # other user of it; the package must not change it behind their back.
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    offenders = [hit for path in modules
+                 for hit in _attribute_writes_to_imports(path)]
+    assert offenders == []
