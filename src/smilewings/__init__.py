@@ -8,8 +8,8 @@ from .blackscholes import NormalizedPutPrice, SmileCurve, WingForm, \
     call_price, d_minus, f_transform, implied_vol, put_price, vega
 from .config import RunConfig, resolve_config
 from .errors import DivergentWing, DomainError, EmptyTail, FileFormatError, \
-    GrowthViolation, MaxIterations, NoSignChange, NonPositiveVol, \
-    NotMonotone, PriceAtOrAboveCap, PriceBelowIntrinsic, SmileWingsError, \
+    GrowthViolation, MaxIterations, NonPositiveVol, NotMonotone, \
+    PriceAtOrAboveCap, PriceBelowIntrinsic, SmileWingsError, \
     ToleranceNotReached, Unsupported
 from .gf import PayoffSpec, TransformedSmile, build_transform, gf_varswap, \
     price_psi_ac, price_psi_c2
@@ -48,7 +48,7 @@ __all__ = [
     # configuration
     "RunConfig", "resolve_config",
     # errors
-    "SmileWingsError", "DomainError", "NoSignChange", "MaxIterations",
+    "SmileWingsError", "DomainError", "MaxIterations",
     "ToleranceNotReached", "PriceBelowIntrinsic", "PriceAtOrAboveCap",
     "EmptyTail", "NonPositiveVol", "DivergentWing", "NotMonotone",
     "GrowthViolation", "Unsupported", "FileFormatError",

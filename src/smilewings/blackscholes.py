@@ -323,7 +323,6 @@ class SmileCurve:
     interpolation: Literal["monotone-cubic", "linear"] = "monotone-cubic"
     left_wing: Literal["clamp", "corollary_expansion"] = "clamp"
     left_wing_q: float | None = None
-    right_wing: Literal["clamp"] = "clamp"
     certified_q: float | None = None
 
     def __post_init__(self) -> None:
@@ -352,8 +351,6 @@ class SmileCurve:
                 "float range")
         if self.interpolation not in ("monotone-cubic", "linear"):
             raise DomainError(f"unknown interpolation {self.interpolation!r}")
-        if self.right_wing != "clamp":
-            raise DomainError(f"unknown right wing {self.right_wing!r}")
         if self.left_wing == "corollary_expansion":
             q = self.left_wing_q
             if q is None or not 0.0 <= q < math.inf:

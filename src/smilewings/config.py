@@ -27,8 +27,9 @@ class RunConfig:
             raise DomainError(f"tol must be a finite positive real, got {self.tol}")
         if not self.q_ceiling > 0.0:
             raise DomainError(f"q_ceiling must be > 0, got {self.q_ceiling}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**63:
+            # The seed is a Philox key word; numpy reads it as a 64-bit int.
+            raise DomainError(f"seed must lie in [0, 2**63), got {self.seed}")
         if not self.z_range > 0.0:
             raise DomainError(f"z_range must be > 0, got {self.z_range}")
         if self.output_format not in ("json", "csv"):

@@ -17,10 +17,6 @@ class DomainError(SmileWingsError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class NoSignChange(SmileWingsError):
-    """A root bracket does not straddle a sign change."""
-
-
 class MaxIterations(SmileWingsError):
     """An iteration hit its step limit; ``best`` holds the last iterate."""
 

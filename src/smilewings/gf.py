@@ -3,13 +3,14 @@
 The smile is pushed through the monotone change of variable z = f(x) =
 x/I(x) + I(x)/2 (minus the usual d2); under it the pricing measure of z is
 standard Gaussian, so expectations become one-dimensional phi-weighted
-integrals of smile-composed integrands.  A second map h sends z to the
-x solving f(x) - I(x) = z and carries the e^{-x}-weighted piece of the
-absolutely-continuous route.
+integrals of smile-composed integrands.  A second map h(x) = f(x) - I(x)
+carries the e^{-x}-weighted piece of the absolutely-continuous route.
 
-Everything here takes a TransformedSmile: the two inverse maps are built
-once (cached monotone grids plus analytic wing continuations) and shared
-by every pricing call.
+Everything here takes a TransformedSmile: f, h and their inverses are built
+once (one inversion routine serves both maps: the affine inverse on a
+clamped side, the wing's own inverse past a corollary wing, a bracketed
+root on the grid) and shared by every pricing call.  Both payoff routes
+integrate their phi-weighted z-space piece through one z-leg, ``_f_leg``.
 """
 
 from __future__ import annotations
@@ -46,15 +47,6 @@ def _phi(z: float) -> float:
     return math.exp(-0.5 * z * z - LOG_SQRT_2PI) if abs(z) < _Z_DEAD else 0.0
 
 
-def _wing_envelope_dead(growth_q: float, x: float, z: float) -> bool:
-    # Declared-growth envelope of the psi / psi' terms against the Gaussian
-    # weight, assembled in log space: once it is this far under the
-    # smallest double the point cannot contribute, and evaluating psi at a
-    # wing-sized |x| could overflow for growth close to the wing order.
-    l_env = growth_q * math.log(-x) + math.log(2.0 + abs(z)) - 0.5 * z * z
-    return l_env < -780.0
-
-
 def _ndtr(z: float) -> float:
     return float(special.ndtr(z))
 
@@ -89,11 +81,13 @@ class PayoffSpec:
 
 @dataclass(frozen=True, eq=False)
 class TransformedSmile:
-    """A smile with its two inverse normalizing maps, built eagerly and
-    immutable afterwards (safe to share across threads)."""
+    """A smile with its normalizing maps f(x) = x/I + I/2 and h(x) = f(x) - I
+    and their inverses, built eagerly and immutable afterwards (safe to share
+    across threads)."""
 
     smile: SmileCurve
     f_of: Callable[[float], float]
+    h_of: Callable[[float], float]
     f_inv: Callable[[float], float]
     h_inv: Callable[[float], float]
 
@@ -135,36 +129,27 @@ def build_transform(smile: SmileCurve, tol: float = 1e-8) -> TransformedSmile:
     def f_of(x: float) -> float:
         return float(f_transform(x, smile))
 
-    def f_left(z: float) -> float:
-        if wing is None:
-            return sig_lo * z - 0.5 * sig_lo * sig_lo
-        return -math.exp(min(wing.log_f_inv(z), 709.0))
+    def h_of(x: float) -> float:
+        return f_of(x) - float(smile(x))
 
-    def h_left(z: float) -> float:
-        if wing is None:
-            return sig_lo * z + 0.5 * sig_lo * sig_lo
-        return wing.h_inv(z)
+    def inverse(of: Callable[[float], float], vals: np.ndarray, half: float,
+                wing_inv: Callable[[float], float]) -> Callable[[float], float]:
+        # On a clamped side of(x) = x/sigma - half*sigma, so x = sigma*z + half*sigma^2.
+        def inv(z: float) -> float:
+            if z <= vals[0]:
+                if wing is not None:
+                    return wing_inv(z)
+                return sig_lo * z + half * sig_lo * sig_lo
+            if z >= vals[-1]:
+                return sig_hi * z + half * sig_hi * sig_hi
+            i = int(np.searchsorted(vals, z))
+            return brentq(lambda x: of(x) - z, float(dense[i - 1]),
+                          float(dense[i]), xtol=1e-12, rtol=8.9e-16)
+        return inv
 
-    def _bracketed(z: float, grid_vals: np.ndarray, func: Callable[[float], float]) -> float:
-        i = int(np.searchsorted(grid_vals, z))
-        a, b = float(dense[i - 1]), float(dense[i])
-        if a == b:
-            return a
-        return brentq(lambda x: func(x) - z, a, b, xtol=1e-12, rtol=8.9e-16)
-
-    def f_inv(z: float) -> float:
-        if z <= f_dense[0]:
-            return f_left(z)
-        if z >= f_dense[-1]:
-            return sig_hi * z - 0.5 * sig_hi * sig_hi
-        return _bracketed(z, f_dense, f_of)
-
-    def h_inv(z: float) -> float:
-        if z <= h_dense[0]:
-            return h_left(z)
-        if z >= h_dense[-1]:
-            return sig_hi * z + 0.5 * sig_hi * sig_hi
-        return _bracketed(z, h_dense, lambda x: f_of(x) - float(smile(x)))
+    f_inv = inverse(f_of, f_dense, -0.5,
+                    lambda z: -math.exp(min(wing.log_f_inv(z), 709.0)))
+    h_inv = inverse(h_of, h_dense, 0.5, lambda z: wing.h_inv(z))
 
     sample = dense[:: max(1, dense.size // 32)]
     for x in sample:
@@ -173,7 +158,7 @@ def build_transform(smile: SmileCurve, tol: float = 1e-8) -> TransformedSmile:
         if not err < tol * (1.0 + abs(x)):
             raise ToleranceNotReached(
                 f"f_inv round-trip off by {err:.3g} at x = {x:.6g}", value=err)
-    return TransformedSmile(smile=smile, f_of=f_of, f_inv=f_inv, h_inv=h_inv)
+    return TransformedSmile(smile, f_of, h_of, f_inv, h_inv)
 
 
 def _check_growth(payoff: PayoffSpec, smile: SmileCurve) -> None:
@@ -199,6 +184,24 @@ def _z_window(ts: TransformedSmile, z_range: float) -> tuple[float, float]:
     z_lo = max(-z_range, ts.f_of(float(ts.smile.x[0])))
     z_hi = min(z_range, ts.f_of(float(ts.smile.x[-1])))
     return z_lo, z_hi
+
+
+def _f_leg(ts: TransformedSmile, z_range: float, share: float,
+           points: list[float], body: Callable[[float, float], float]) -> float:
+    """Integral of body(x, z) * phi(z) dz with x = f_inv(z): the grid window
+    (break points ``points``), then the two open tails, each at tol ``share``."""
+
+    def leg(z: float) -> float:
+        w = _phi(z)
+        if w == 0.0:
+            return 0.0
+        return body(ts.f_inv(z), z) * w
+
+    z_lo, z_hi = _z_window(ts, z_range)
+    val = integrate(leg, z_lo, z_hi, tol=share, points=points).value
+    val += integrate(leg, -math.inf, z_lo, tol=share).value
+    val += integrate(leg, z_hi, math.inf, tol=share).value
+    return val
 
 
 def gf_varswap(ts: TransformedSmile, tol: float = 1e-8,
@@ -251,27 +254,15 @@ def price_psi_c2(payoff: PayoffSpec, ts: TransformedSmile, tol: float = 1e-8,
     psi, dpsi, d2psi = payoff.psi, payoff.psi_prime, payoff.psi_double_prime
     share = tol / 6.0
 
-    x_edge = float(smile.x[0])
-
-    def zleg(z: float) -> float:
-        w = _phi(z)
-        if w == 0.0:
-            return 0.0
-        x = ts.f_inv(z)
-        if x < x_edge and _wing_envelope_dead(payoff.growth_order_q, x, z):
-            return 0.0
-        iv = float(smile(x))
+    def zbody(x: float, z: float) -> float:
         # x + I^2/2 = z I exactly (that is what f(x) = z says), which
         # sidesteps the huge-|x| cancellation out on the wing.
-        return (psi(x) - dpsi(x) * iv * z) * w
+        return psi(x) - dpsi(x) * float(smile(x)) * z
 
-    z_lo, z_hi = _z_window(ts, z_range)
     # Knot images ride along as break points: the interpolant's curvature
     # jumps there and cell-aligned panels settle far below a blind split.
     z_knots = [ts.f_of(float(xk)) for xk in smile.x]
-    val = integrate(zleg, z_lo, z_hi, tol=share, points=z_knots).value
-    val += integrate(zleg, -math.inf, z_lo, tol=share).value
-    val += integrate(zleg, z_hi, math.inf, tol=share).value
+    val = _f_leg(ts, z_range, share, z_knots, zbody)
 
     def xleg(x: float) -> float:
         w = _phi(ts.f_of(x))
@@ -313,28 +304,11 @@ def price_psi_ac(payoff: PayoffSpec, ts: TransformedSmile, tol: float = 1e-8,
     psi, dpsi = payoff.psi, payoff.psi_prime
     share = tol / 6.0
 
-    x_edge = float(smile.x[0])
-
-    def fleg(z: float) -> float:
-        w = _phi(z)
-        if w == 0.0:
-            return 0.0
-        x = ts.f_inv(z)
-        if x < x_edge and _wing_envelope_dead(payoff.growth_order_q, x, z):
-            return 0.0
-        return (psi(x) - dpsi(x)) * w
-
-    z_lo, z_hi = _z_window(ts, z_range)
     # Break points: payoff kink images plus knot images (the interpolant's
     # curvature jumps at the latter).
     f_points = ([ts.f_of(k) for k in payoff.kinks]
                 + [ts.f_of(float(xk)) for xk in smile.x])
-    val = integrate(fleg, z_lo, z_hi, tol=share, points=f_points).value
-    val += integrate(fleg, -math.inf, z_lo, tol=share).value
-    val += integrate(fleg, z_hi, math.inf, tol=share).value
-
-    def g_of(x: float) -> float:
-        return ts.f_of(x) - float(smile(x))
+    val = _f_leg(ts, z_range, share, f_points, lambda x, z: psi(x) - dpsi(x))
 
     def hleg(z: float) -> float:
         w = _phi(z)
@@ -343,13 +317,13 @@ def price_psi_ac(payoff: PayoffSpec, ts: TransformedSmile, tol: float = 1e-8,
         x = ts.h_inv(z)
         return dpsi(x) * math.exp(-x) * w
 
-    zh_hi = min(z_range, g_of(float(smile.x[-1])))
-    h_points = ([g_of(k) for k in payoff.kinks]
-                + [g_of(float(xk)) for xk in smile.x])
+    zh_hi = min(z_range, ts.h_of(float(smile.x[-1])))
+    h_points = ([ts.h_of(k) for k in payoff.kinks]
+                + [ts.h_of(float(xk)) for xk in smile.x])
     val += integrate(hleg, -z_range, zh_hi, tol=share, points=h_points).value
     val += integrate(hleg, zh_hi, math.inf, tol=share).value
 
-    # far-left e^{-h} tail, in u = log|x|: z = g(-e^u), dz = g'(x) x du (sign
+    # far-left e^{-h} tail, in u = log|x|: z = h(-e^u), dz = h'(x) x du (sign
     # absorbed), with the exponent assembled in log space first.
     x_cut = ts.h_inv(-z_range)
     if not x_cut < 0.0:
@@ -375,10 +349,10 @@ def price_psi_ac(payoff: PayoffSpec, ts: TransformedSmile, tol: float = 1e-8,
                          points=u_knots).value
         return val
 
-    # On the wing the e^{-x} and phi(g) exponents cancel exactly (g = -B,
+    # On the wing the e^{-x} and phi(h) exponents cancel exactly (h = -B,
     # B^2 = A^2 - 2x), leaving a bare power law; the float path above loses
     # that cancellation once |x| outgrows the double grid.
-    u_edge = math.log(-x_edge)
+    u_edge = math.log(-float(smile.x[0]))
 
     def hleg_far_wing(u: float) -> float:
         a2 = wing.d2(u)
@@ -390,9 +364,11 @@ def price_psi_ac(payoff: PayoffSpec, ts: TransformedSmile, tol: float = 1e-8,
         return dpsi(-eu) * math.exp(lead) * gp * eu
 
     if u_cut < u_edge:
-        val += integrate(hleg_far, u_cut, u_edge, tol=share,
+        # Two far pieces where the other routes run one: half a share each
+        # keeps the seven tols summing to tol.
+        val += integrate(hleg_far, u_cut, u_edge, tol=0.5 * share,
                          points=u_knots).value
-        val += integrate(hleg_far_wing, u_edge, 709.0, tol=share).value
+        val += integrate(hleg_far_wing, u_edge, 709.0, tol=0.5 * share).value
     else:
         val += integrate(hleg_far_wing, u_cut, 709.0, tol=share).value
     return val

@@ -35,6 +35,7 @@ from scipy.stats import invgamma, levy_stable
 from .blackscholes import NormalizedPutPrice, SmileCurve, implied_vol, put_price
 from .errors import DomainError, SmileWingsError, ToleranceNotReached, Unsupported
 from .numerics import integrate
+from .replication import PricePath
 
 __all__ = [
     "Lognormal",
@@ -67,8 +68,8 @@ class Lognormal:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,8 @@ class Brownian:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,8 @@ class FMLS:
         if not (1.0 < self.alpha < 2.0):
             raise DomainError(
                 f"alpha must lie strictly in (1, 2), got {self.alpha}")
-        if not self.scale > 0.0:
-            raise DomainError(f"scale must be > 0, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise DomainError(f"scale must be finite and > 0, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -118,10 +119,10 @@ class LogMixture:
     def __post_init__(self) -> None:
         if not isinstance(self.x_part, Brownian):
             raise DomainError("x_part must be a Brownian component")
-        if not self.y_shape > 0.0:
-            raise DomainError(f"y_shape must be > 0, got {self.y_shape}")
-        if not self.y_scale > 0.0:
-            raise DomainError(f"y_scale must be > 0, got {self.y_scale}")
+        if not 0.0 < self.y_shape < math.inf:
+            raise DomainError(f"y_shape must be finite and > 0, got {self.y_shape}")
+        if not 0.0 < self.y_scale < math.inf:
+            raise DomainError(f"y_scale must be finite and > 0, got {self.y_scale}")
 
 
 ModelSpec = Union[Lognormal, FMLS, LogMixture]
@@ -628,15 +629,13 @@ def ig_moment(r: float, shape: float, scale: float) -> float:
 
 
 def sample_paths(model: ModelSpec, n_steps: int, n_paths: int, seed: int,
-                 path_offset: int = 0) -> list["PricePath"]:
+                 path_offset: int = 0) -> list[PricePath]:
     """Simulate normalized price paths on [0, 1].
 
     Each path gets its own counter-based bit generator keyed by
     (seed, path_offset + i), so disjoint chunks drawn in parallel or across
     runs never overlap and any path can be regenerated in isolation.
     """
-    from .replication import PricePath
-
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     if n_paths < 0:

@@ -152,9 +152,9 @@ def replicate_convex(payoff: ConvexPayoff, smile: SmileCurve, tol: float = 1e-8)
 
 
 def _check_left_decay(smile: SmileCurve) -> None:
-    if smile.left_wing == "corollary_expansion" and smile.left_wing_q <= 1.0:
+    if smile.wing is not None and smile.wing.q <= 1.0:
         raise DivergentWing(
-            f"left wing with q = {smile.left_wing_q} <= 1 makes the "
+            f"left wing with q = {smile.wing.q} <= 1 makes the "
             "log-contract strip divergent")
 
 
@@ -199,7 +199,7 @@ def log_contract_strip(smile: SmileCurve, tol: float = 1e-8) -> float:
 
     knots = np.asarray(smile.x, dtype=float)
 
-    if smile.left_wing == "corollary_expansion":
+    if smile.wing is not None:
         # Power-law decay: u = log|x| makes the far integrand exp(-(q-1)u),
         # and also walks the (possibly very deep) grid region in log steps.
         # Beyond the last knot the pure-wing form takes over analytically.

@@ -207,8 +207,6 @@ def test_smile_validation():
     with pytest.raises(DomainError):
         SmileCurve(np.array([0.0, 1.0]), _vols(2), interpolation="spline")
     with pytest.raises(DomainError):
-        SmileCurve(np.array([0.0, 1.0]), _vols(2), right_wing="wing")
-    with pytest.raises(DomainError):
         SmileCurve(np.array([0.0, 1.0]), _vols(2), certified_q=-1.0)
 
 

@@ -368,3 +368,16 @@ class TestVerifyAndParser:
         code, _, err = run_cli(argv + ["--input", path], capsys)
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["smile-gen", "--model", "fmls", "--alpha", "1.5", "--scale", "inf"], 1),
+        (["smile-gen", "--model", "mixture", "--sigma", "0.2", "--y-shape", "2",
+          "--y-scale", "inf", "--x-grid=-3:1:3"], 1),
+        (["verify", "--only", "mc", "--seed", "99999999999999999999"], 2),
+    ])
+    def test_out_of_range_parameter_is_one_error_line(self, tmp_path, capsys,
+                                                      argv, expected):
+        code, _, err = run_cli(argv + ["--output", str(tmp_path / "out")], capsys)
+        assert code == expected
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from smilewings import gf, replication
 from smilewings.blackscholes import SmileCurve
 from smilewings.errors import DomainError, GrowthViolation, NotMonotone
 from smilewings.gf import (
@@ -19,6 +20,7 @@ from smilewings.gf import (
     price_psi_c2,
 )
 from smilewings.numerics import integrate
+from smilewings.replication import varswap_strip
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -65,9 +67,8 @@ def test_transform_round_trip(moderate_transform):
 
 
 def test_transform_h_inverts_g(moderate_transform):
-    sm = moderate_transform.smile
     for x in (-10.0, -4.0, 0.5):
-        g = moderate_transform.f_of(x) - float(sm(x))
+        g = moderate_transform.h_of(x)
         assert abs(moderate_transform.h_inv(g) - x) < 1e-9 * (1.0 + abs(x))
 
 
@@ -144,6 +145,38 @@ def test_gf_varswap_matches_strip_on_jump_smile(moderate_transform):
     assert abs(gf - strip) < 1e-6
 
 
+@pytest.mark.parametrize("name", ["flat02_transform", "deep_transform",
+                                  "shallow_wing"])
+def test_route_tols_sum_within_requested_tol(name, request, monkeypatch):
+    # Every route splits tol into one share per quadrature call; the shares
+    # are its error budget and may not add up to more than tol.
+    if name == "shallow_wing":
+        ts = build_transform(SmileCurve(
+            np.linspace(-4.0, 2.0, 13), np.full(13, 0.3),
+            left_wing="corollary_expansion", left_wing_q=1.5, certified_q=1.5))
+    else:
+        ts = request.getfixturevalue(name)
+    tols: list[float] = []
+
+    def recording(f, lo, hi, tol=1e-10, points=None):
+        tols.append(tol)
+        return integrate(f, lo, hi, tol=tol, points=points)
+
+    monkeypatch.setattr(gf, "integrate", recording)
+    monkeypatch.setattr(replication, "integrate", recording)
+    tol = 1e-7
+    routes = {
+        "varswap_strip": lambda: varswap_strip(ts.smile, tol=tol),
+        "gf_varswap": lambda: gf_varswap(ts, tol=tol),
+        "price_psi_c2": lambda: price_psi_c2(_identity(), ts, tol=tol),
+        "price_psi_ac": lambda: price_psi_ac(_identity(), ts, tol=tol),
+    }
+    for route, run in routes.items():
+        tols.clear()
+        run()
+        assert tols and math.fsum(tols) <= tol, (route, tols)
+
+
 # ---------------------------------------------------------------------------
 # payoff pricing
 
@@ -177,6 +210,14 @@ def test_identity_payoff_deep_smile_recovers_drift(deep_transform):
     assert abs(c2 - exact) < 2e-5
     assert abs(ac - exact) < 2e-5
     assert abs(ac - c2) < 1e-7
+
+
+def test_identity_payoff_on_grid_right_of_the_money():
+    # No knot at x <= 0: the z-legs run on the clamped left side alone.
+    ts = build_transform(SmileCurve(np.array([0.1, 0.5, 1.0]), np.full(3, 0.2),
+                                    certified_q=math.inf))
+    assert abs(price_psi_c2(_identity(), ts, tol=1e-9) + 0.02) < 1e-8
+    assert abs(price_psi_ac(_identity(), ts, tol=1e-9) + 0.02) < 1e-8
 
 
 def test_hinge_payoff_against_gaussian_quadrature(flat02_transform):
