@@ -191,10 +191,10 @@ def check_moment_put_bounds(cfg: RunConfig,
     violations = 0
     cases = []
     for model, name in ((Lognormal(0.2), "lognormal"), (FMLS(1.5, 0.25), "fmls")):
+        log_puts = {x: model_put(model, x).log_p for x in (-2.0, -5.0, -10.0, -15.0)}
         for q in (0.5, 1.0, 1.4):
             moment = log_moment_oracle(model, q)
-            for x in (-2.0, -5.0, -10.0, -15.0):
-                lp = model_put(model, x).log_p
+            for x, lp in log_puts.items():
                 log_bound = x - q * math.log(-x) + math.log(moment)
                 slack = log_bound - lp
                 if slack < slack_min:

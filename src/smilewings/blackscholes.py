@@ -174,8 +174,10 @@ def implied_vol(x: float, price: float | NormalizedPutPrice) -> float:
     intrinsic = max(math.expm1(x), 0.0)
     # A couple of ulps of slack: a linear price within rounding distance of
     # intrinsic is at intrinsic (the time value lives far below resolution),
-    # not below it.
-    if p < intrinsic - 4e-16 * intrinsic - 5e-324:
+    # not below it.  Above the money the price is a difference of terms of
+    # size e^x, so its rounding scales with e^x rather than with intrinsic.
+    slack = 4e-16 * math.exp(x) if intrinsic > 0.0 else 0.0
+    if p < intrinsic - slack - 5e-324:
         raise PriceBelowIntrinsic(
             f"price {p} below intrinsic {intrinsic} at x = {x}")
     if log_p >= x:

@@ -12,10 +12,11 @@ Three exactly-normalized (E[S_T] = 1, T = 1) models of L = log S_T:
 
 FMLS put prices are produced by four stitched regimes: a pure tail series
 for x <= -120 (where only the log channel of the price is representable),
-a Gauss-Laguerre convolution of the cdf for -120 < x < -2, Carr-Madan
-Fourier inversion of the call for -2 <= x <= 0.5, and a call by density
-quadrature above 0.5.  ``model_smile`` prices its whole grid in one call
-and warns about dropped points in grid order.
+the integral P(x) = int_{-inf}^x e^l F(l) dl of the cdf for -120 < x < -2,
+summed over Gauss-Legendre cells of a fixed lattice that every strike of a
+grid shares, Carr-Madan Fourier inversion of the call for -2 <= x <= 0.5,
+and a call by density quadrature above 0.5.  ``model_smile`` prices its
+whole grid in one call and warns about dropped points in grid order.
 """
 
 from __future__ import annotations
@@ -157,7 +158,11 @@ def certified_q(model: ModelSpec) -> CertifiedQ:
 def _fmls_drift(alpha: float, scale: float) -> float:
     # Martingale drift: psi(-i) = 0 forces the linear coefficient to equal
     # scale^alpha / cos(pi alpha / 2), which is negative on (1, 2).
-    return scale**alpha / math.cos(0.5 * math.pi * alpha)
+    try:
+        return scale**alpha / math.cos(0.5 * math.pi * alpha)
+    except OverflowError:
+        raise Unsupported(
+            f"FMLS scale {scale} overflows scale**alpha") from None
 
 
 @dataclass(frozen=True)
@@ -248,17 +253,22 @@ def _tail_coeffs(alpha: float, scale: float) -> tuple[float, float, float]:
 
     B_1 is the classical stable-tail constant in closed form; B_2 and B_3
     are least-squares fitted against the reference cdf on a window where
-    that cdf is still fully accurate (it returns hard zero beyond a
-    standardized argument of about -700), which extends the usable range
-    of the series far beyond it.
+    that cdf is still fully accurate, which extends the usable range of
+    the series far beyond it.  Only positive reference values enter the
+    fit: for alpha near 2 the reference reads hard zero inside the window
+    (from a standardized argument of about -367 at alpha = 1.797).
     """
+    mu = _fmls_drift(alpha, scale)
     b1 = 2.0 * math.sin(0.5 * math.pi * alpha) * math.gamma(alpha) / math.pi \
         * scale**alpha
-    mu = _fmls_drift(alpha, scale)
     lam = scale * np.geomspace(80.0, 450.0, 48)
     ref = _fmls_dist(alpha, scale).cdf(mu - lam)
-    rel = ref / (b1 * lam**-alpha) - 1.0
+    lam = lam[ref > 0.0]
+    rel = ref[ref > 0.0] / (b1 * lam**-alpha) - 1.0
     design = np.column_stack([lam**-alpha, lam**(-2.0 * alpha)])
+    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(rel))):
+        raise Unsupported(
+            f"FMLS scale {scale} puts the tail series out of float range")
     coef, *_ = np.linalg.lstsq(design, rel, rcond=None)
     return b1, b1 * float(coef[0]), b1 * float(coef[1])
 
@@ -271,8 +281,9 @@ def _tail_cdf(lam: np.ndarray, alpha: float, scale: float) -> np.ndarray:
 
 def _fmls_cdf(ells: np.ndarray, alpha: float, scale: float) -> np.ndarray:
     """cdf of L on arbitrary arguments, switching to the tail series where
-    the reference implementation loses the tail (standardized argument
-    below about -450)."""
+    the reference implementation loses the tail: below a standardized
+    argument of -450, and wherever it reads hard zero (for alpha near 2 it
+    does so on a band above -450)."""
     ells = np.atleast_1d(np.asarray(ells, dtype=float))
     out = np.empty_like(ells)
     mu = _fmls_drift(alpha, scale)
@@ -280,30 +291,56 @@ def _fmls_cdf(ells: np.ndarray, alpha: float, scale: float) -> np.ndarray:
     if np.any(~deep):
         dist = _fmls_dist(alpha, scale)
         out[~deep] = dist.cdf(ells[~deep])
+        deep[~deep] = ~(out[~deep] > 0.0)
     if np.any(deep):
         out[deep] = _tail_cdf(mu - ells[deep], alpha, scale)
     return out
 
 
+# Mid-wing cells: a fixed lattice [j h, (j + 1) h], each cell integrated by
+# an n-node Gauss-Legendre rule, and ceil(40 / h) whole cells below each
+# strike's own partial cell (what lies deeper is below e^-40 of the price).
+_CELL_H = 4.0
+_CELL_NODES = 16
+_CELL_DEPTH = math.ceil(40.0 / _CELL_H)
+
+
 @lru_cache(maxsize=1)
-def _gl_rule(n: int = 96) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.laguerre.laggauss(n)
+def _unit_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    t, w = np.polynomial.legendre.leggauss(_CELL_NODES)
+    return 0.5 * (t + 1.0), 0.5 * w
 
 
 def _fmls_log_put_mid(xs: np.ndarray, alpha: float, scale: float) -> np.ndarray:
-    """log put on the mid wing via P(x) e^{-x} = int_0^inf e^{-t} F(x-t) dt."""
-    t, w = _gl_rule()
-    ells = xs[:, None] - t[None, :]
-    f_vals = _fmls_cdf(ells.ravel(), alpha, scale).reshape(ells.shape)
-    # Row by row: a many-row product can round differently from one row,
-    # and a strike's price must not depend on the grid around it.
-    pe = np.array([row @ w for row in f_vals])
-    return xs + np.log(pe)
+    """log put on the mid wing via P(x) = int_{-inf}^x e^l F(l) dl.
+
+    Each strike sums its own partial cell [floor(x/h) h, x] and the
+    ``_CELL_DEPTH`` lattice cells below it.  A lattice cell is integrated
+    once per call, shared by every strike whose window covers it, and the
+    cdf is evaluated once per distinct node.  The sum is ``math.fsum``, so
+    a strike's price depends on (x, alpha, scale) alone, not on the grid
+    around it.
+    """
+    u, w = _unit_legendre()
+    own = np.floor(xs / _CELL_H)
+    below = own[:, None] - np.arange(1, _CELL_DEPTH + 1)
+    cells, slot = np.unique(below.ravel(), return_inverse=True)
+    lo = np.concatenate([cells, own]) * _CELL_H
+    width = np.concatenate([np.full(cells.size, _CELL_H), xs - own * _CELL_H])
+    ells = lo[:, None] + width[:, None] * u
+    nodes, where = np.unique(ells.ravel(), return_inverse=True)
+    f_vals = _fmls_cdf(nodes, alpha, scale)[where].reshape(ells.shape)
+    sums = np.array([math.fsum(row) for row in
+                     np.exp(ells) * f_vals * (width[:, None] * w)])
+    terms = np.column_stack([sums[slot].reshape(below.shape), sums[cells.size:]])
+    return np.array([math.log(math.fsum(row)) for row in terms])
 
 
 def _fmls_log_put_deep(xs: np.ndarray, alpha: float, scale: float) -> np.ndarray:
     """log put from the tail series alone (x <= -120): Watson expansion of
-    the same Laguerre convolution, five terms per series order."""
+    P(x) e^{-x} = int_0^inf e^{-t} F(x - t) dt, five terms per series
+    order."""
     b = _tail_coeffs(alpha, scale)
     mu = _fmls_drift(alpha, scale)
     lam0 = mu - xs
@@ -422,8 +459,12 @@ def _fmls_put_points(xs: np.ndarray, alpha: float, scale: float,
 def _mixture_kappa(sigma: float, y_shape: float, y_scale: float) -> float:
     # E[e^{-Y}] for inverse-gamma: 2 beta^{a/2} K_a(2 sqrt(beta)) / Gamma(a).
     a, beta = y_shape, y_scale
+    bessel = special.kv(a, 2.0 * math.sqrt(beta))
+    if not 0.0 < bessel < math.inf:
+        raise Unsupported(
+            f"mixture y_shape {a}, y_scale {beta}: E[e^-Y] leaves float range")
     log_mgf = math.log(2.0) + 0.5 * a * math.log(beta) \
-        + math.log(special.kv(a, 2.0 * math.sqrt(beta))) - math.lgamma(a)
+        + math.log(bessel) - math.lgamma(a)
     return 0.5 * sigma * sigma + log_mgf
 
 

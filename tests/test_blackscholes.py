@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from smilewings.blackscholes import (
@@ -137,6 +137,7 @@ def test_roundtrip_grid():
 
 @given(st.floats(min_value=-30.0, max_value=2.0),
        st.floats(min_value=0.01, max_value=2.5))
+@example(0.09375, 0.01171875)  # price one rounding below expm1(x)
 def test_roundtrip_property(x, sigma):
     assert abs(implied_vol(x, put_price(x, sigma)) - sigma) < 1e-9
 

@@ -374,6 +374,10 @@ class TestVerifyAndParser:
         (["smile-gen", "--model", "mixture", "--sigma", "0.2", "--y-shape", "2",
           "--y-scale", "inf", "--x-grid=-3:1:3"], 1),
         (["verify", "--only", "mc", "--seed", "99999999999999999999"], 2),
+        (["smile-gen", "--model", "fmls", "--alpha", "1.5", "--scale", "1e300"], 2),
+        (["smile-gen", "--model", "fmls", "--alpha", "1.5", "--scale", "1e-300"], 2),
+        (["smile-gen", "--model", "mixture", "--sigma", "0.2", "--y-shape", "2",
+          "--y-scale", "1e300", "--x-grid=-3:1:3"], 2),
     ])
     def test_out_of_range_parameter_is_one_error_line(self, tmp_path, capsys,
                                                       argv, expected):

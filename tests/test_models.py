@@ -166,6 +166,9 @@ _LOG_PUT_PINS = [
     (-5.0, -10.598819958167658),
     (-8.0, -14.24471115081602),
     (-12.0, -18.815434038262328),
+    (-30.0, -38.13894161815761),
+    (-60.0, -69.1598491406433),
+    (-100.0, -109.91825285095364),
 ]
 
 
@@ -189,12 +192,12 @@ def test_right_wing_call_pins(x, expected):
 
 
 def test_pricing_tiers_agree_at_their_seams():
-    # Laguerre-mid versus deep-series across the x = -120 handover
+    # mid wing versus deep series across the x = -120 handover
     for x in (-100.0, -119.0):
         lm = float(_fmls_log_put_mid(np.array([x]), ALPHA, SCALE)[0])
         ld = float(_fmls_log_put_deep(np.array([x]), ALPHA, SCALE)[0])
         assert abs(lm - ld) < 1e-7
-    # Laguerre-mid versus damped Fourier across the x = -2 handover
+    # mid wing versus damped Fourier across the x = -2 handover
     for x in (-2.0, -2.1):
         p_mid = math.exp(float(_fmls_log_put_mid(np.array([x]), ALPHA, SCALE)[0]))
         p_cm = _fmls_call_cm(x, ALPHA, SCALE, 1e-10) - 1.0 + math.exp(x)
@@ -204,6 +207,18 @@ def test_pricing_tiers_agree_at_their_seams():
         c1 = _fmls_call_cm(x, ALPHA, SCALE, 1e-10)
         c2 = _fmls_call_density(x, ALPHA, SCALE, 1e-10)
         assert abs(c1 / c2 - 1.0) < 1e-9
+
+
+def test_mid_and_deep_agree_where_the_reference_cdf_reads_zero():
+    # For alpha near 2 scipy's cdf reads hard zero on a band above the
+    # standardized -450 switch (from about -367 at alpha = 1.797); the tail
+    # fit and the mid wing's cells must both route round it.
+    alpha, scale = 1.797, 0.3
+    assert abs(_tail_coeffs(alpha, scale)[2]) < 1.0
+    x = np.array([-119.0])
+    lm = float(_fmls_log_put_mid(x, alpha, scale)[0])
+    ld = float(_fmls_log_put_deep(x, alpha, scale)[0])
+    assert abs(lm - ld) < 1e-7
 
 
 def test_put_prices_monotone_in_x():
