@@ -16,9 +16,8 @@ from .gf import PayoffSpec, TransformedSmile, build_transform, gf_varswap, \
 from .models import FMLS, Brownian, CertifiedQ, LevyTriplet, LogMixture, \
     Lognormal, certified_q, char_exponent, ig_moment, levy_triplet, \
     log_moment_oracle, model_put, model_smile, sample_paths
-from .replication import ConvexPayoff, OptionChain, PricePath, \
-    discrete_varswap_payoff, log_contract_strip, replicate_convex, \
-    varswap_strip
+from .replication import ConvexPayoff, PricePath, discrete_varswap_payoff, \
+    log_contract_strip, replicate_convex, varswap_strip
 from .wings import WingExpansion, WingReport, estimate_q, iv_wing_bound, \
     lee_beta_to_p, lee_bound_check, lee_p_to_beta, log_moment_statistic, \
     put_upper_bound, v_q, wing_expansion
@@ -35,7 +34,7 @@ __all__ = [
     "put_upper_bound", "iv_wing_bound", "log_moment_statistic",
     "wing_expansion", "WingExpansion", "estimate_q", "WingReport",
     # replication
-    "OptionChain", "PricePath", "ConvexPayoff", "replicate_convex",
+    "PricePath", "ConvexPayoff", "replicate_convex",
     "log_contract_strip", "varswap_strip", "discrete_varswap_payoff",
     # transform pricing
     "PayoffSpec", "TransformedSmile", "build_transform", "gf_varswap",

@@ -28,8 +28,8 @@ from .errors import (
     PriceAtOrAboveCap,
     PriceBelowIntrinsic,
 )
-from .numerics import LOG_SQRT_2PI, log1mexp, log_mills_ratio, log_norm_cdf, \
-    norm_cdf, norm_pdf
+from .numerics import LOG_FLOAT_MAX, LOG_SQRT_2PI, log1mexp, log_mills_ratio, \
+    log_norm_cdf, norm_cdf, norm_pdf
 
 __all__ = [
     "NormalizedPutPrice",
@@ -96,11 +96,16 @@ def _log_call(x: float, sigma: float) -> float:
     return la + log1mexp(min(lb - la, -1e-300))
 
 
+def _check_x(x: float, caller: str) -> None:
+    if not -math.inf < x <= LOG_FLOAT_MAX:
+        raise DomainError(f"{caller} requires finite x <= ln(DBL_MAX) "
+                          f"= {LOG_FLOAT_MAX!r}, got {x}")
+
+
 def put_price(x: float, sigma: float) -> NormalizedPutPrice:
     """Normalized Black-Scholes put.  ``sigma = 0`` returns the intrinsic
     value and ``sigma = inf`` the cap e^x."""
-    if not math.isfinite(x):
-        raise DomainError(f"put_price requires finite x, got {x}")
+    _check_x(x, "put_price")
     if math.isnan(sigma) or sigma < 0.0:
         raise DomainError(f"put_price requires sigma >= 0, got {sigma}")
     if sigma == 0.0:
@@ -124,12 +129,13 @@ def put_price(x: float, sigma: float) -> NormalizedPutPrice:
 
 def call_price(x: float, sigma: float) -> float:
     """Normalized Black-Scholes call Phi(d + sigma) - e^x Phi(d)."""
+    # No upper bound on x: the strip route prices calls far above the money.
     if not math.isfinite(x):
         raise DomainError(f"call_price requires finite x, got {x}")
     if math.isnan(sigma) or sigma < 0.0:
         raise DomainError(f"call_price requires sigma >= 0, got {sigma}")
     if sigma == 0.0:
-        return max(-math.expm1(x), 0.0)
+        return -math.expm1(x) if x <= 0.0 else 0.0
     if math.isinf(sigma):
         return 1.0
     d = -x / sigma - 0.5 * sigma
@@ -159,13 +165,14 @@ def implied_vol(x: float, price: float | NormalizedPutPrice) -> float:
     Raises :class:`PriceBelowIntrinsic` / :class:`PriceAtOrAboveCap` outside
     the attainable band, and returns 0.0 exactly at intrinsic.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"implied_vol requires finite x, got {x}")
+    _check_x(x, "implied_vol")
     log_tv: float | None = None
     if isinstance(price, NormalizedPutPrice):
         p, log_p = price.p, float(price.log_p)
         if price.log_time_value is not None:
             log_tv = float(price.log_time_value)
+        if math.isnan(log_p) or (log_tv is not None and math.isnan(log_tv)):
+            raise DomainError("price log channel is NaN")
     else:
         p = float(price)
         if math.isnan(p):
@@ -205,14 +212,15 @@ def implied_vol(x: float, price: float | NormalizedPutPrice) -> float:
             break
         hi *= 2.0
     lo = hi
-    for _ in range(4000):
-        nxt = 0.5 * lo
-        if g(nxt) <= 0.0:
-            lo = nxt
+    while True:
+        lo *= 0.5
+        if lo == 0.0:
+            # The target lies below what the log objective resolves: above
+            # the money its floor is about log 1e-300.
+            raise MaxIterations(
+                f"no vol above 0 reaches price {p} at x = {x}", best=0.0)
+        if g(lo) <= 0.0:
             break
-        lo = nxt
-    if lo == hi:
-        lo = 0.5 * hi
 
     tol_g = 4e-16 * max(1.0, abs(target))
     sigma = 0.5 * (lo + hi)
@@ -224,7 +232,9 @@ def implied_vol(x: float, price: float | NormalizedPutPrice) -> float:
             hi = sigma
         else:
             lo = sigma
-        slope = math.exp(_log_vega(x, sigma) - (gs + target))
+        # Capping the slope at DBL_MAX can only lengthen the Newton step,
+        # and a step that leaves the bracket falls back to bisection.
+        slope = math.exp(min(_log_vega(x, sigma) - (gs + target), LOG_FLOAT_MAX))
         nxt = sigma - gs / slope if slope > 0.0 else 0.5 * (lo + hi)
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)

@@ -12,8 +12,7 @@ Exit codes: 0 success, 1 environment/parse trouble (unreadable files, bad
 flags, bad model parameters), 2 domain/validation trouble (malformed rows,
 empty tail windows, non-monotone transforms).  Output is deterministic:
 fixed field order, floats at 17 significant digits, non-finite values as
-tagged strings.  SMILE_WINGS_THREADS caps per-row parallelism (0 = auto);
-row output order always matches input order.
+tagged strings.  ``iv`` inverts its rows in input order.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import argparse
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import NoReturn
 
@@ -30,7 +28,7 @@ import numpy as np
 
 from .acceptance import run_checks
 from .blackscholes import implied_vol
-from .config import RunConfig, resolve_config, thread_count
+from .config import RunConfig, resolve_config
 from .errors import DomainError, EmptyTail, FileFormatError, SmileWingsError
 from .fileio import SMILE_HEADER, format_float, read_chain_csv, \
     read_smile_csv, to_canonical_json, write_smile_csv
@@ -58,17 +56,6 @@ def _open_out(path: str):
         path, "w", encoding="utf-8")
 
 
-def _write_report(args, cfg: RunConfig, doc: dict) -> None:
-    with _open_out(args.output) as fh:
-        if cfg.output_format == "csv":
-            fh.write("field,value\n")
-            for k, v in doc.items():
-                val = format_float(v) if isinstance(v, float) else str(v)
-                fh.write(f"{k},{val}\n")
-        else:
-            fh.write(to_canonical_json(doc))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -77,9 +64,8 @@ def cmd_iv(args, cfg: RunConfig) -> int:
     with _open_in(args.input) as fh:
         rows, bad = read_chain_csv(fh)
     problems: list[tuple[int, str]] = list(bad)
-
-    def invert(item):
-        lineno, row = item
+    inverted: list[tuple[float, float]] = []
+    for lineno, row in rows:
         try:
             if row.value_kind == "implied_vol":
                 iv = float(row.value)
@@ -88,23 +74,14 @@ def cmd_iv(args, cfg: RunConfig) -> int:
                         f"implied_vol must be finite and >= 0, got {iv}")
             else:
                 iv = implied_vol(row.log_moneyness, row.value)
-            return lineno, row.log_moneyness, iv, None
         except SmileWingsError as exc:
-            return lineno, row.log_moneyness, math.nan, str(exc)
-
-    workers = thread_count()
-    if workers > 1 and len(rows) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(invert, rows))
-    else:
-        results = [invert(item) for item in rows]
-
-    problems.extend((ln, msg) for ln, _, _, msg in results if msg is not None)
+            problems.append((lineno, str(exc)))
+        else:
+            inverted.append((row.log_moneyness, iv))
     with _open_out(args.output) as fh:
         fh.write(SMILE_HEADER + "\n")
-        for _, x, iv, msg in results:
-            if msg is None:
-                fh.write(f"{format_float(x)},{format_float(iv)}\n")
+        for x, iv in inverted:
+            fh.write(f"{format_float(x)},{format_float(iv)}\n")
     for lineno, msg in sorted(problems):
         print(f"line {lineno}: {msg}", file=sys.stderr)
     return 2 if problems else 0
@@ -148,7 +125,14 @@ def cmd_varswap(args, cfg: RunConfig) -> int:
         doc["gf"] = gf_varswap(ts, tol=cfg.tol, z_range=cfg.z_range)
     if args.method == "both":
         doc["discrepancy"] = abs(doc["strip"] - doc["gf"])  # type: ignore[operator]
-    _write_report(args, cfg, doc)
+    with _open_out(args.output) as fh:
+        if cfg.output_format == "csv":
+            fh.write("field,value\n")
+            for k, v in doc.items():
+                val = format_float(v) if isinstance(v, float) else str(v)
+                fh.write(f"{k},{val}\n")
+        else:
+            fh.write(to_canonical_json(doc))
     return 0
 
 
@@ -164,7 +148,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise DomainError(f"--x-grid count must be >= 1, got {n}")
     if not lo <= hi:
         raise DomainError(f"--x-grid needs START <= STOP, got {spec!r}")
-    return np.linspace(lo, hi, n)
+    with np.errstate(all="ignore"):
+        # Ends that are not finite, or too far apart, give non-finite
+        # points, which model_smile rejects.
+        return np.linspace(lo, hi, n)
 
 
 def _require(args, flag: str, model: str) -> float:
@@ -243,8 +230,6 @@ def _build_parser() -> _Parser:
                         help="cap for tail-index estimates")
     common.add_argument("--z-range", type=float, dest="z_range",
                         help="half-width of the transform-space window")
-    common.add_argument("--output-format", choices=("json", "csv"),
-                        dest="output_format", help="report format")
     common.add_argument("--output", default="-", metavar="PATH",
                         help="output path ('-' = stdout)")
 
@@ -272,6 +257,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", default="-", metavar="PATH")
     p.add_argument("--method", choices=("strip", "gf", "both"),
                    default="both")
+    p.add_argument("--output-format", choices=("json", "csv"),
+                   dest="output_format", help="report format")
     p.set_defaults(func=cmd_varswap)
 
     p = sub.add_parser("smile-gen", parents=[common],
@@ -308,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args.config, tol=args.tol, seed=args.seed,
                              q_ceiling=args.q_ceiling, z_range=args.z_range,
-                             output_format=args.output_format)
+                             output_format=getattr(args, "output_format", None))
         return args.func(args, cfg)
     except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,11 @@
-"""Run configuration: defaults, config-file overrides, thread budget."""
+"""Run configuration: defaults and config-file overrides."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Literal
 
 from .errors import DomainError, FileFormatError
 from .fileio import numbered_lines
@@ -86,14 +85,7 @@ def resolve_config(config_path: str | None = None, **flag_overrides) -> RunConfi
     return cfg.replaced(**flag_overrides)
 
 
-def thread_count(env: Mapping[str, str] | None = None) -> int:
-    """Worker budget from SMILE_WINGS_THREADS (0 or unset = auto)."""
-    raw = (env if env is not None else os.environ).get("SMILE_WINGS_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise FileFormatError(
-            f"SMILE_WINGS_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise FileFormatError(f"SMILE_WINGS_THREADS must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
+def thread_count() -> int:
+    """Always 1: every command runs on one thread.  Kept because the
+    benchmark's environment stamp (``perfbench/run.py``) records it."""
+    return 1

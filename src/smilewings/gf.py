@@ -82,8 +82,7 @@ class PayoffSpec:
 @dataclass(frozen=True, eq=False)
 class TransformedSmile:
     """A smile with its normalizing maps f(x) = x/I + I/2 and h(x) = f(x) - I
-    and their inverses, built eagerly and immutable afterwards (safe to share
-    across threads)."""
+    and their inverses, built eagerly and immutable afterwards."""
 
     smile: SmileCurve
     f_of: Callable[[float], float]

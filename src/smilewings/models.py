@@ -35,7 +35,7 @@ from scipy.stats import invgamma, levy_stable
 
 from .blackscholes import NormalizedPutPrice, SmileCurve, implied_vol, put_price
 from .errors import DomainError, SmileWingsError, ToleranceNotReached, Unsupported
-from .numerics import integrate
+from .numerics import LOG_FLOAT_MAX, integrate
 from .replication import PricePath
 
 __all__ = [
@@ -344,6 +344,9 @@ def _fmls_log_put_deep(xs: np.ndarray, alpha: float, scale: float) -> np.ndarray
     b = _tail_coeffs(alpha, scale)
     mu = _fmls_drift(alpha, scale)
     lam0 = mu - xs
+    if np.any(lam0 <= 0.0):
+        raise Unsupported(
+            f"FMLS scale {scale} puts the drift {mu} below a deep-wing strike")
     acc = np.zeros_like(lam0)
     for k in (1, 2, 3):
         ak = alpha * k
@@ -388,14 +391,17 @@ def _fmls_call_density(x: float, alpha: float, scale: float, tol: float) -> floa
     damped Fourier route's absolute noise floor swamps it beyond x ~ 0.5."""
     dist = _fmls_dist(alpha, scale)
     mu = _fmls_drift(alpha, scale)
+    hi = max(mu + 60.0 * scale, x + 5.0)
+    if hi > LOG_FLOAT_MAX:
+        raise Unsupported(f"FMLS scale {scale}: the density window ends at "
+                          f"{hi}, where e^x overflows")
     ex = math.exp(x)
-    hi = mu + 60.0 * scale
 
     def leg(ell: float) -> float:
         f = dist.pdf(ell)
         return (math.exp(ell) - ex) * f if f > 0.0 else 0.0
 
-    val = quad(leg, x, max(hi, x + 5.0), epsabs=0.0, epsrel=1e-11, limit=200)[0]
+    val = quad(leg, x, hi, epsabs=0.0, epsrel=1e-11, limit=200)[0]
     if val < 1e-13:
         # The density itself is only good to absolute ~1e-15ish, so a call
         # this thin is indistinguishable from quadrature noise; refusing it
@@ -513,8 +519,8 @@ def _put_points(model: ModelSpec, xs: np.ndarray, tol: float) -> list[PutOutcome
 def model_put(model: ModelSpec, x: float, tol: float = 1e-10) -> NormalizedPutPrice:
     """Normalized put price at log-moneyness x under the given model."""
     x = float(x)
-    if not math.isfinite(x):
-        raise DomainError("x must be finite")
+    if not -math.inf < x <= LOG_FLOAT_MAX:
+        raise DomainError(f"x must be finite and <= ln(DBL_MAX), got {x}")
     price = _put_points(model, np.array([x]), tol)[0]
     if isinstance(price, SmileWingsError):
         raise price
@@ -529,8 +535,8 @@ def model_smile(model: ModelSpec, x_grid, tol: float = 1e-10,
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if xs.ndim != 1 or xs.size == 0:
         raise DomainError("x_grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(xs)):
-        raise DomainError("x_grid must be finite")
+    if not np.all((xs > -np.inf) & (xs <= LOG_FLOAT_MAX)):
+        raise DomainError("x_grid must be finite and <= ln(DBL_MAX)")
     if np.any(np.diff(xs) <= 0.0):
         raise DomainError("x_grid must be strictly increasing")
 

@@ -9,6 +9,7 @@ which the option-pricing layer relies on for deep wings.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -18,6 +19,7 @@ from scipy.integrate import quad as _quad
 from .errors import DomainError, MaxIterations, ToleranceNotReached
 
 __all__ = [
+    "LOG_FLOAT_MAX",
     "LOG_SQRT_2PI",
     "QuadratureResult",
     "norm_cdf",
@@ -34,6 +36,8 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# ln(DBL_MAX): e^x overflows float64 beyond it.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _NEG_INV_E = -math.exp(-1.0)
 
 

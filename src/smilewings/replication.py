@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -21,7 +21,6 @@ from .numerics import integrate, log1mexp, log_mills_ratio, log_mills_ratio_from
     log_norm_cdf
 
 __all__ = [
-    "OptionChain",
     "PricePath",
     "ConvexPayoff",
     "replicate_convex",
@@ -29,34 +28,6 @@ __all__ = [
     "varswap_strip",
     "discrete_varswap_payoff",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class OptionChain:
-    """Finitely many co-maturing puts, in normalized units."""
-
-    points: tuple[tuple[float, NormalizedPutPrice], ...]
-    source: Literal["observed", "model-generated"]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        if self.source not in ("observed", "model-generated"):
-            raise DomainError(f"unknown chain source {self.source!r}")
-        prev_x = -math.inf
-        prev_p = -math.inf
-        for x, put in self.points:
-            if not isinstance(put, NormalizedPutPrice):
-                raise DomainError("chain entries must hold NormalizedPutPrice")
-            if x <= prev_x:
-                raise DomainError("chain strikes must be strictly increasing")
-            intrinsic = max(math.expm1(x), 0.0)
-            if put.p < intrinsic - 1e-12 * (1.0 + put.p):
-                raise DomainError(f"put at x = {x} below intrinsic")
-            if put.log_p >= x:
-                raise DomainError(f"put at x = {x} at or above the e^x cap")
-            if put.p < prev_p * (1.0 - 1e-12) - 1e-15:
-                raise DomainError("put values must be nondecreasing in x")
-            prev_x, prev_p = x, put.p
 
 
 @dataclass(frozen=True, eq=False)

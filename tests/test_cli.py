@@ -8,11 +8,18 @@ in-process, with files under tmp_path.  Exit-code contract under test:
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smilewings import cli
 from smilewings.blackscholes import SmileCurve, WingForm
@@ -98,28 +105,20 @@ class TestIv:
             ["iv", "--input", str(tmp_path / "nope.csv")], capsys)
         assert code == 1 and "error:" in err
 
-    def test_thread_env_override(self, tmp_path, capsys, monkeypatch):
+    def test_thread_env_override(self, tmp_path, capsys):
         chain = write_text(tmp_path / "chain.csv",
                            CHAIN_HEADER + "\n"
                            f"0.0,{PUT_ATM_02},put_price\n"
                            "-2.0,0.3,implied_vol\n"
                            "-1.0,0.25,implied_vol\n")
         out = tmp_path / "smile.csv"
-        monkeypatch.setenv("SMILE_WINGS_THREADS", "2")
         code, _, _ = run_cli(["iv", "--input", chain, "--output", str(out)],
                              capsys)
         assert code == 0
-        # pooled execution must preserve input row order
+        # output rows keep the input row order
         xs = [float(l.split(",")[0])
               for l in out.read_text().splitlines()[1:]]
         assert xs == [0.0, -2.0, -1.0]
-
-    def test_bad_thread_env_is_exit_1(self, tmp_path, capsys, monkeypatch):
-        chain = write_text(tmp_path / "chain.csv",
-                           CHAIN_HEADER + "\n-1.0,0.25,implied_vol\n")
-        monkeypatch.setenv("SMILE_WINGS_THREADS", "abc")
-        code, _, err = run_cli(["iv", "--input", chain], capsys)
-        assert code == 1 and "SMILE_WINGS_THREADS" in err
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +377,13 @@ class TestVerifyAndParser:
         (["smile-gen", "--model", "fmls", "--alpha", "1.5", "--scale", "1e-300"], 2),
         (["smile-gen", "--model", "mixture", "--sigma", "0.2", "--y-shape", "2",
           "--y-scale", "1e300", "--x-grid=-3:1:3"], 2),
+        (["smile-gen", "--model", "fmls", "--alpha", "1.5", "--x-grid=1:800:3"], 1),
+        (["smile-gen", "--model", "mixture", "--sigma", "0.2", "--y-shape", "2",
+          "--y-scale", "0.5", "--x-grid=1:800:3"], 1),
+        (["smile-gen", "--model", "fmls", "--alpha", "1.5", "--scale", "20",
+          "--x-grid=1:3:2"], 2),
+        (["smile-gen", "--model", "fmls", "--alpha", "1.5", "--scale", "1e3",
+          "--x-grid=-130:-125:2"], 2),
     ])
     def test_out_of_range_parameter_is_one_error_line(self, tmp_path, capsys,
                                                       argv, expected):
@@ -385,3 +391,71 @@ class TestVerifyAndParser:
         assert code == expected
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on extreme inputs
+
+# ln(DBL_MAX) ~ 709.78 sits between 709.78 and 709.79.
+_EXTREMES = [1e300, -1e300, 709.78, 709.79, -709.79, 1000.0, -1000.0, 1e15,
+             -1e15, 5e-324, -5e-324, 1e-300, 0.0, 1.0, -1.0, math.nan,
+             math.inf, -math.inf]
+_EXTREME = st.sampled_from(_EXTREMES) | st.floats()
+_STDERR_LINE = re.compile(r"(line \d+|warning|error): ")
+
+
+def _run_stdio(argv, stdin=""):
+    """``cli.main(argv)`` with stdin fed from a string and stdout/stderr
+    captured.  Any exception other than SystemExit propagates as a
+    traceback would, and so does any warning the CLI lets escape (it
+    would print as a stray stderr line)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(), \
+            mock.patch("sys.stdin", io.StringIO(stdin)):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # argparse rejections surface here
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _assert_contract(code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert all(_STDERR_LINE.match(line) for line in lines), err
+    errors = [line for line in lines if line.startswith("error:")]
+    assert len(errors) <= 1 and (not errors or lines == errors), err
+    if code != 0:
+        assert lines, "a nonzero exit must say why on stderr"
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(_EXTREME, _EXTREME,
+                               st.sampled_from(["put_price", "implied_vol"])),
+                     min_size=1, max_size=4))
+@example(rows=[(710.0, 5.0, "put_price")])
+@example(rows=[(709.79, 1e300, "put_price"), (-1e300, 5e-324, "put_price")])
+@example(rows=[(5e-324, 2.2250738585072014e-308, "put_price")])
+def test_iv_contract_on_extreme_rows(rows):
+    chain = CHAIN_HEADER + "\n" + "".join(
+        f"{x!r},{v!r},{kind}\n" for x, v, kind in rows)
+    code, err = _run_stdio(["iv", "--input", "-", "--output", "-"], chain)
+    _assert_contract(code, err)
+    assert code in (0, 2)
+    assert all(line.startswith("line ") for line in err.splitlines()), err
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=_EXTREME, hi=_EXTREME, n=st.integers(1, 4), sigma=_EXTREME)
+@example(lo=0.0, hi=800.0, n=3, sigma=0.2)
+@example(lo=-1e15, hi=1e-300, n=3, sigma=1e-300)
+@example(lo=-709.79, hi=1e300, n=1, sigma=1.1754943508222875e-38)
+@example(lo=1e300, hi=math.inf, n=2, sigma=1e300)
+@example(lo=-1.7976931348623157e308, hi=709.78, n=4, sigma=1e300)
+def test_lognormal_smile_gen_contract_on_extreme_grids(lo, hi, n, sigma):
+    code, err = _run_stdio(["smile-gen", "--model", "lognormal",
+                            f"--sigma={sigma!r}", f"--x-grid={lo!r}:{hi!r}:{n}",
+                            "--output", "-"])
+    _assert_contract(code, err)

@@ -92,21 +92,6 @@ class TestResolveConfig:
         assert cfg.tol == 1e-8
 
 
-class TestThreadCount:
-    def test_unset_uses_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("SMILE_WINGS_THREADS", raising=False)
-        assert thread_count() >= 1
-
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("SMILE_WINGS_THREADS", "0")
-        assert thread_count() >= 1
-
-    def test_explicit(self, monkeypatch):
-        monkeypatch.setenv("SMILE_WINGS_THREADS", "3")
-        assert thread_count() == 3
-
-    @pytest.mark.parametrize("raw", ["-1", "abc", "2.5"])
-    def test_rejects_garbage(self, monkeypatch, raw):
-        monkeypatch.setenv("SMILE_WINGS_THREADS", raw)
-        with pytest.raises(FileFormatError):
-            thread_count()
+def test_thread_count_is_one():
+    # Every command runs on one thread; the benchmark stamp still reads this.
+    assert thread_count() == 1

@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from smilewings.blackscholes import NormalizedPutPrice, SmileCurve, call_price, put_price
+from smilewings.blackscholes import SmileCurve, call_price
 from smilewings.errors import DivergentWing, DomainError
 from smilewings.numerics import integrate
 from smilewings.replication import (
     ConvexPayoff,
-    OptionChain,
     PricePath,
     discrete_varswap_payoff,
     log_contract_strip,
@@ -217,33 +216,3 @@ def test_price_path_validation():
         PricePath(np.array([0.0, 1.0]), np.array([1.0, -2.0]))
     with pytest.raises(DomainError):
         PricePath(np.array([0.0, 1.0]), np.array([1.0]))
-
-
-# ---------------------------------------------------------------------------
-# chains
-
-
-def test_option_chain_accepts_consistent_quotes():
-    pts = tuple((x, put_price(x, 0.3)) for x in (-2.0, -1.0, 0.0, 1.0))
-    chain = OptionChain(points=pts, source="model-generated")
-    assert len(chain.points) == 4
-
-
-def test_option_chain_validation():
-    good = put_price(-1.0, 0.3)
-    with pytest.raises(DomainError):
-        OptionChain(points=((-1.0, good),), source="scraped")
-    with pytest.raises(DomainError):
-        OptionChain(points=((-1.0, good), (-1.0, good)), source="observed")
-    with pytest.raises(DomainError):
-        OptionChain(points=((-1.0, 0.1),), source="observed")
-    with pytest.raises(DomainError):  # at the cap
-        OptionChain(points=((-1.0, NormalizedPutPrice(math.exp(-1.0))),),
-                    source="observed")
-    with pytest.raises(DomainError):  # below intrinsic
-        OptionChain(points=((0.5, NormalizedPutPrice(0.1)),),
-                    source="observed")
-    with pytest.raises(DomainError):  # put values must not decrease
-        OptionChain(points=((-2.0, NormalizedPutPrice(0.05)),
-                            (-1.0, NormalizedPutPrice(0.01))),
-                    source="observed")
