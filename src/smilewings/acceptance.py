@@ -12,6 +12,7 @@ inputs give byte-identical reports.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_Outcome = tuple[bool, float, str]   # a check body's (passed, margin, detail)
 
 
 @dataclass(frozen=True)
@@ -115,11 +117,28 @@ def transform_of(smile: SmileCurve) -> TransformedSmile:
 # ---------------------------------------------------------------------------
 # The checks.
 
+CHECKS: dict[str, Callable[..., CheckResult]] = {}
 
-def check_iv_roundtrip(cfg: RunConfig, tol: float | None = None) -> CheckResult:
+
+def _check(name: str):
+    """Register a check under ``name``.  Its body returns (passed, margin,
+    detail); the registered function times it and builds the CheckResult."""
+    def register(body: Callable[..., _Outcome]):
+        @functools.wraps(body)
+        def run(cfg: RunConfig, tol: float | None = None) -> CheckResult:
+            start = time.perf_counter()
+            passed, margin, detail = body(cfg, tol)
+            return CheckResult(name, passed, margin, detail,
+                               time.perf_counter() - start)
+        CHECKS[name] = run
+        return run
+    return register
+
+
+@_check("iv-roundtrip")
+def check_iv_roundtrip(cfg: RunConfig, tol: float | None = None) -> _Outcome:
     """Price-then-invert round trip over a wide moneyness/vol grid."""
     tol = 1e-9 if tol is None else tol
-    start = time.perf_counter()
     xs = np.linspace(-10.0, 3.0, 200)
     sigmas = np.linspace(0.01, 3.0, 50)
     worst = 0.0
@@ -129,19 +148,18 @@ def check_iv_roundtrip(cfg: RunConfig, tol: float | None = None) -> CheckResult:
             err = abs(implied_vol(x, put_price(x, s)) - s)
             if err > worst:
                 worst, at = err, (x, s)
-    elapsed = time.perf_counter() - start
     passed = worst < tol
     margin = (tol - worst) / tol
     detail = (f"max |implied_vol(put_price) - sigma| = {worst:.3e} at "
               f"x = {at[0]:.3f}, sigma = {at[1]:.3f} over a 200 x 50 grid "
               f"(tol {tol:.1e}; margin = unused tolerance fraction)")
-    return CheckResult("iv-roundtrip", passed, margin, detail, elapsed)
+    return passed, margin, detail
 
 
-def check_flat_varswap(cfg: RunConfig, tol: float | None = None) -> CheckResult:
+@_check("flat-varswap")
+def check_flat_varswap(cfg: RunConfig, tol: float | None = None) -> _Outcome:
     """Both variance-swap routes recover sigma^2 exactly on flat smiles."""
     tol = 1e-7 if tol is None else tol
-    start = time.perf_counter()
     worst = 0.0
     lines = []
     for s in (0.1, 0.2, 0.5):
@@ -151,20 +169,18 @@ def check_flat_varswap(cfg: RunConfig, tol: float | None = None) -> CheckResult:
         e1, e2 = abs(strip - s * s), abs(gf - s * s)
         worst = max(worst, e1, e2)
         lines.append(f"sigma={s:g}: strip err {e1:.2e}, gf err {e2:.2e}")
-    elapsed = time.perf_counter() - start
     passed = worst < tol
     detail = ("; ".join(lines) +
               f" (tol {tol:.1e}; margin = unused tolerance fraction)")
-    return CheckResult("flat-varswap", passed, (tol - worst) / tol, detail,
-                       elapsed)
+    return passed, (tol - worst) / tol, detail
 
 
+@_check("levy-varswap-routes")
 def check_levy_varswap_routes(cfg: RunConfig,
-                              tol: float | None = None) -> CheckResult:
+                              tol: float | None = None) -> _Outcome:
     """Strip and transform routes agree with each other and with the model's
     own -2 E[log S_T] on the deep pure-jump smile."""
     tol = 1e-4 if tol is None else tol
-    start = time.perf_counter()
     sm = deep_fmls_smile()
     strip2 = 2.0 * log_contract_strip(sm, tol=1e-7)
     gf = gf_varswap(transform_of(sm), tol=1e-7, z_range=cfg.z_range)
@@ -173,20 +189,18 @@ def check_levy_varswap_routes(cfg: RunConfig,
     e_strip = abs(strip2 - oracle)
     e_gf = abs(gf - oracle)
     worst = max(e_routes, e_strip, e_gf)
-    elapsed = time.perf_counter() - start
     detail = (f"2*strip = {strip2:.10f}, gf = {gf:.10f}, density oracle = "
               f"{oracle:.10f}; route gap {e_routes:.2e}, strip-vs-oracle "
               f"{e_strip:.2e}, gf-vs-oracle {e_gf:.2e} (tol {tol:.1e}; "
               f"margin = unused tolerance fraction)")
-    return CheckResult("levy-varswap-routes", worst < tol,
-                       (tol - worst) / tol, detail, elapsed)
+    return worst < tol, (tol - worst) / tol, detail
 
 
+@_check("moment-put-bounds")
 def check_moment_put_bounds(cfg: RunConfig,
-                            tol: float | None = None) -> CheckResult:
+                            tol: float | None = None) -> _Outcome:
     """Model puts sit below e^x |x|^{-q} E|log S_T|^q, compared in log space
     so the deep lognormal cases stay informative."""
-    start = time.perf_counter()
     slack_min = math.inf
     violations = 0
     cases = []
@@ -202,39 +216,36 @@ def check_moment_put_bounds(cfg: RunConfig,
                     cases = [f"{name} q={q:g} x={x:g}"]
                 if slack <= 0.0:
                     violations += 1
-    elapsed = time.perf_counter() - start
     detail = (f"{violations} violations over 24 cases; smallest log-space "
               f"slack {slack_min:.4f} at {cases[0]} (margin = that slack)")
-    return CheckResult("moment-put-bounds", violations == 0, slack_min,
-                       detail, elapsed)
+    return violations == 0, slack_min, detail
 
 
+@_check("lee-wing-bounds")
 def check_lee_wing_bounds(cfg: RunConfig,
-                          tol: float | None = None) -> CheckResult:
+                          tol: float | None = None) -> _Outcome:
     """The jump smile respects the sqrt(2|x|) boundary on [-15, -2] and sits
     under the order-(alpha - 1/2) wing cap at depth."""
-    start = time.perf_counter()
     sm = moderate_fmls_smile()
     lee = lee_bound_check(sm, 2.0, np.linspace(-15.0, -2.0, 131))
     slacks = []
     for x in (-10.0, -15.0):
         cap = iv_wing_bound(x, 1.0)
         slacks.append(cap - float(sm(x)))
-    elapsed = time.perf_counter() - start
     passed = not lee and all(s > 0.0 for s in slacks)
     margin = min(slacks) if not lee else -1.0
     detail = (f"{len(lee)} boundary breaches on 131 points; wing-cap slack "
               f"{slacks[0]:.4f} at x=-10, {slacks[1]:.4f} at x=-15 "
               f"(margin = smallest slack)")
-    return CheckResult("lee-wing-bounds", passed, margin, detail, elapsed)
+    return passed, margin, detail
 
 
+@_check("wing-estimator")
 def check_wing_estimator(cfg: RunConfig,
-                         tol: float | None = None) -> CheckResult:
+                         tol: float | None = None) -> _Outcome:
     """estimate_q is exact on curves of the closed wing form, and the tail
     statistic orders pure-jump smiles by their stability index."""
     tol = 1e-4 if tol is None else tol
-    start = time.perf_counter()
     worst = 0.0
     for q in (0.5, 1.5, 3.0):
         xs = np.sort(-np.geomspace(1e2, 1e6, 25))
@@ -246,14 +257,13 @@ def check_wing_estimator(cfg: RunConfig,
              for a in (1.2, 1.5, 1.8)]
     gaps = [b - a for a, b in zip(stats, stats[1:])]
     ordered = all(g > 0.0 for g in gaps)
-    elapsed = time.perf_counter() - start
     passed = worst < tol and ordered
     margin = (tol - worst) / tol if ordered else -1.0
     detail = (f"max |q_hat - q| = {worst:.2e} over q in {{0.5, 1.5, 3}} "
               f"(tol {tol:.1e}; margin = unused fraction); statistic at "
               f"x=-15: " + ", ".join(f"{s:.6f}" for s in stats) +
               f" for alpha 1.2/1.5/1.8, strictly increasing = {ordered}")
-    return CheckResult("wing-estimator", passed, margin, detail, elapsed)
+    return passed, margin, detail
 
 
 def _psi_square() -> PayoffSpec:
@@ -275,12 +285,12 @@ def _psi_hinge() -> PayoffSpec:
                       kinks=(-0.5,))
 
 
+@_check("gf-payoff-routes")
 def check_gf_payoff_routes(cfg: RunConfig,
-                           tol: float | None = None) -> CheckResult:
+                           tol: float | None = None) -> _Outcome:
     """Transform-route payoff pricing: the squared-log value on a flat
     smile, agreement of the C^2 and absolutely-continuous routes, and a
     kinked payoff against a direct Gaussian quadrature."""
-    start = time.perf_counter()
     flat = transform_of(flat_smile(0.2))
     jump = transform_of(moderate_fmls_smile())
     parts: list[tuple[str, float, float]] = []  # (label, err, tol)
@@ -305,22 +315,21 @@ def check_gf_payoff_routes(cfg: RunConfig,
     parts.append(("hinge vs quadrature", abs(v_hinge - oracle),
                   1e-6 if tol is None else tol))
 
-    elapsed = time.perf_counter() - start
     margin = min((t - e) / t for _, e, t in parts)
     passed = all(e < t for _, e, t in parts)
     detail = ("; ".join(f"{lbl}: err {e:.2e} (tol {t:.0e})"
                         for lbl, e, t in parts) +
               " (margin = smallest unused tolerance fraction)")
-    return CheckResult("gf-payoff-routes", passed, margin, detail, elapsed)
+    return passed, margin, detail
 
 
+@_check("strike-derivative")
 def check_strike_derivative(cfg: RunConfig,
-                            tol: float | None = None) -> CheckResult:
+                            tol: float | None = None) -> _Outcome:
     """Finite-difference strike derivative of smile puts matches
     Phi(-delta) + phi(delta) I'(x), and the slope condition f I' < 1 holds
     at every probe."""
     tol = 1e-5 if tol is None else tol
-    start = time.perf_counter()
     sm = moderate_fmls_smile()
     xs = np.linspace(-14.0, 0.5, 50)
 
@@ -342,19 +351,18 @@ def check_strike_derivative(cfg: RunConfig,
                     + math.exp(-0.5 * delta * delta) / _SQRT_2PI * ivp)
         worst = max(worst, abs(fd - analytic))
         slope_max = max(slope_max, f_transform(x, sm) * ivp)
-    elapsed = time.perf_counter() - start
     passed = worst < tol and slope_max < 1.0
     margin = (tol - worst) / tol if slope_max < 1.0 else -1.0
     detail = (f"max |FD - analytic| = {worst:.2e} over 50 strikes (tol "
               f"{tol:.0e}; margin = unused fraction); max f*I' = "
               f"{slope_max:.6f} < 1")
-    return CheckResult("strike-derivative", passed, margin, detail, elapsed)
+    return passed, margin, detail
 
 
-def check_mc_varswap(cfg: RunConfig, tol: float | None = None) -> CheckResult:
+@_check("mc-varswap")
+def check_mc_varswap(cfg: RunConfig, tol: float | None = None) -> _Outcome:
     """Simulated daily realized variance agrees with the discrete expectation
     sigma^2 (1 + sigma^2/(4n)) within three standard errors."""
-    start = time.perf_counter()
     sigma, n_steps, n_paths = 0.2, 252, 100_000
     vals = np.empty(n_paths)
     chunk = 10_000
@@ -369,21 +377,19 @@ def check_mc_varswap(cfg: RunConfig, tol: float | None = None) -> CheckResult:
     stderr = float(vals.std(ddof=1)) / math.sqrt(n_paths)
     expected = sigma ** 2 * (1.0 + sigma ** 2 / (4.0 * n_steps))
     err = abs(mean - expected)
-    elapsed = time.perf_counter() - start
     passed = err < 3.0 * stderr
     detail = (f"mean {mean:.8f} vs discrete expectation {expected:.8f}: "
               f"|diff| = {err:.2e}, 3*stderr = {3.0 * stderr:.2e} over "
               f"{n_paths} paths, seed {cfg.seed} (margin = 3*stderr - |diff|)")
-    return CheckResult("mc-varswap", passed, 3.0 * stderr - err, detail,
-                       elapsed)
+    return passed, 3.0 * stderr - err, detail
 
 
+@_check("special-functions")
 def check_special_functions(cfg: RunConfig,
-                            tol: float | None = None) -> CheckResult:
+                            tol: float | None = None) -> _Outcome:
     """Lambert branch residuals, the Mills-ratio approach to 1/z, and the
     sharp-over-loose bound ratio marching to 1."""
     tol = 1e-12 if tol is None else tol
-    start = time.perf_counter()
     zs = -np.geomspace(1e-300, math.exp(-1.0) * (1.0 - 1e-12), 1000)
     resid = 0.0
     for z in zs:
@@ -405,7 +411,6 @@ def check_special_functions(cfg: RunConfig,
     ratio_err = [abs(1.0 - r) for r in ratios]
     ratio_ok = all(b < a for a, b in zip(ratio_err, ratio_err[1:]))
 
-    elapsed = time.perf_counter() - start
     passed = resid < tol and mills_ok and ratio_ok
     margin = (tol - resid) / tol if (mills_ok and ratio_ok) else -1.0
     detail = (f"max Lambert residual {resid:.2e} over 1000 branch points "
@@ -414,21 +419,7 @@ def check_special_functions(cfg: RunConfig,
               + f" decreasing = {mills_ok}; bound ratios "
               + ", ".join(f"{r:.9f}" for r in ratios)
               + f" approaching 1 = {ratio_ok}")
-    return CheckResult("special-functions", passed, margin, detail, elapsed)
-
-
-CHECKS: dict[str, Callable[..., CheckResult]] = {
-    "iv-roundtrip": check_iv_roundtrip,
-    "flat-varswap": check_flat_varswap,
-    "levy-varswap-routes": check_levy_varswap_routes,
-    "moment-put-bounds": check_moment_put_bounds,
-    "lee-wing-bounds": check_lee_wing_bounds,
-    "wing-estimator": check_wing_estimator,
-    "gf-payoff-routes": check_gf_payoff_routes,
-    "strike-derivative": check_strike_derivative,
-    "mc-varswap": check_mc_varswap,
-    "special-functions": check_special_functions,
-}
+    return passed, margin, detail
 
 
 def run_checks(cfg: RunConfig, only: Iterable[str] | None = None,

@@ -12,6 +12,7 @@ are handled through a parallel log-price channel that never underflows.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal
@@ -328,6 +329,10 @@ class SmileCurve:
     :class:`WingForm` (``wing``), anchored so the continuation is exactly
     continuous at the boundary knot.  ``certified_q`` records a moment order
     the generating model guarantees (None when unknown).
+
+    The interpolant is a cell table built on first use: per cell, value and
+    derivative coefficients in s = x - knot from the constant term up, read
+    from scipy's PCHIP or the secant slopes, and summed in scipy's order.
     """
 
     x: NDArray[np.float64]
@@ -395,16 +400,6 @@ class SmileCurve:
         return tuple(zip(self.x.tolist(), self.vol.tolist()))
 
     @cached_property
-    def _pchip(self) -> PchipInterpolator | None:
-        if self.x.size < 2 or self.interpolation != "monotone-cubic":
-            return None
-        return PchipInterpolator(self.x, self.vol, extrapolate=False)
-
-    @cached_property
-    def _pchip_deriv(self):
-        return None if self._pchip is None else self._pchip.derivative()
-
-    @cached_property
     def wing(self) -> WingForm | None:
         """The left-wing continuation past the first knot; None when clamped."""
         if self.left_wing == "clamp":
@@ -412,43 +407,48 @@ class SmileCurve:
         return WingForm.anchored(float(self.x[0]), float(self.vol[0]),
                                  float(self.left_wing_q))
 
-    def _interior(self, xs: np.ndarray) -> np.ndarray:
-        if self.x.size == 1:
-            return np.full_like(xs, self.vol[0])
-        if self._pchip is not None:
-            return self._pchip(xs)
-        return np.interp(xs, self.x, self.vol)
+    @cached_property
+    def _table(self) -> tuple[list[float], list[float], list]:
+        """Knots, vols and the (value, derivative) coefficients of each cell."""
+        knots, vols = self.x.tolist(), self.vol.tolist()
+        if len(knots) == 1:
+            return knots, vols, [([vols[0]], [0.0])]
+        if self.interpolation == "monotone-cubic":
+            c = PchipInterpolator(self.x, self.vol).c
+            dc = c[:-1] * np.array([[3.0], [2.0], [1.0]])  # PPoly.derivative()
+            return knots, vols, list(zip(c[::-1].T.tolist(), dc[::-1].T.tolist()))
+        slopes = (np.diff(self.vol) / np.diff(self.x)).tolist()
+        cells = [([v, m], [m]) for v, m in zip(vols, slopes)]
+        # numpy's interp reads vol[-1] exactly at the last knot; so does a
+        # zero-width closing cell, with the last secant slope as derivative.
+        return knots, vols, cells + [([vols[-1], 0.0], [slopes[-1]])]
 
-    def _interior_deriv(self, xs: np.ndarray) -> np.ndarray:
-        if self.x.size == 1:
-            return np.zeros_like(xs)
-        if self._pchip_deriv is not None:
-            return self._pchip_deriv(xs)
-        idx = np.clip(np.searchsorted(self.x, xs, side="right") - 1, 0, self.x.size - 2)
-        slopes = np.diff(self.vol) / np.diff(self.x)
-        return slopes[idx]
+    def _at(self, x: float, want_deriv: bool) -> float:
+        knots, vols, cells = self._table
+        if x < knots[0]:
+            if self.wing is None:
+                return 0.0 if want_deriv else vols[0]
+            # A one-element array keeps the numpy log the wing has always used.
+            form = self.wing.derivative if want_deriv else self.wing.vol
+            return float(form(np.array([x]))[0])
+        if x > knots[-1]:
+            return 0.0 if want_deriv else vols[-1]
+        # Cell k owns [x_k, x_k+1), as in scipy's find_interval; the summation
+        # order is scipy's too, so values match PPoly to the bit.
+        i = min(bisect_right(knots, x), len(cells)) - 1
+        s = x - knots[i]
+        res, z = 0.0, 1.0
+        for c in cells[i][want_deriv]:
+            res += c * z
+            z *= s
+        return res
 
     def _eval(self, at, want_deriv: bool):
-        arr = np.asarray(at, dtype=float)
-        scalar = arr.ndim == 0
-        xs = np.atleast_1d(arr)
-        out = np.empty_like(xs)
-        left = xs < self.x[0]
-        right = xs > self.x[-1]
-        mid = ~(left | right)
-        if np.any(mid):
-            out[mid] = (self._interior_deriv(xs[mid]) if want_deriv
-                        else self._interior(xs[mid]))
-        if np.any(right):
-            out[right] = 0.0 if want_deriv else self.vol[-1]
-        if np.any(left):
-            wing = self.wing
-            if wing is None:
-                out[left] = 0.0 if want_deriv else self.vol[0]
-            else:
-                out[left] = (wing.derivative(xs[left]) if want_deriv
-                             else wing.vol(xs[left]))
-        return float(out[0]) if scalar else out
+        if not isinstance(at, float) and np.ndim(at):
+            arr = np.asarray(at, dtype=float)
+            vals = [self._at(v, want_deriv) for v in arr.ravel().tolist()]
+            return np.array(vals, dtype=float).reshape(arr.shape)
+        return self._at(float(at), want_deriv)
 
     def __call__(self, at):
         return self._eval(at, want_deriv=False)

@@ -24,8 +24,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise DomainError(f"tol must be a finite positive real, got {self.tol}")
-        if not self.q_ceiling > 0.0:
-            raise DomainError(f"q_ceiling must be > 0, got {self.q_ceiling}")
+        if not (self.q_ceiling > 0.0 and math.isfinite(self.q_ceiling)):
+            raise DomainError(
+                f"q_ceiling must be a finite positive real, got {self.q_ceiling}")
         if not 0 <= self.seed < 2**63:
             # The seed is a Philox key word; numpy reads it as a 64-bit int.
             raise DomainError(f"seed must lie in [0, 2**63), got {self.seed}")

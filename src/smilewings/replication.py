@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .blackscholes import NormalizedPutPrice, SmileCurve, WingForm, call_price, put_price
+from .blackscholes import SmileCurve, WingForm, call_price, put_price
 from .errors import DivergentWing, DomainError
 from .numerics import integrate, log1mexp, log_mills_ratio, log_mills_ratio_from_log, \
     log_norm_cdf
@@ -79,14 +79,6 @@ class ConvexPayoff:
                 raise DomainError("kink weights must be >= 0 (convexity)")
 
 
-def _put_at(smile: SmileCurve, x: float) -> NormalizedPutPrice:
-    return put_price(x, float(smile(x)))
-
-
-def _put_linear(smile: SmileCurve, x: float) -> float:
-    return _put_at(smile, x).p
-
-
 def replicate_convex(payoff: ConvexPayoff, smile: SmileCurve, tol: float = 1e-8) -> float:
     """Price E[f(S_T)] as f(x0) + f'(x0)(1 - x0) + strip of puts below the
     pivot and calls above it, weighted by mu = f''."""
@@ -95,14 +87,14 @@ def replicate_convex(payoff: ConvexPayoff, smile: SmileCurve, tol: float = 1e-8)
     mu = payoff.second_derivative_density
 
     def put_leg(x: float) -> float:
-        p = _put_linear(smile, x)
+        p = put_price(x, smile(x)).p
         if p == 0.0:
             return 0.0
         y = math.exp(x)
         return p * mu(y) * y
 
     def call_leg(x: float) -> float:
-        c = call_price(x, float(smile(x)))
+        c = call_price(x, smile(x))
         if c == 0.0:
             return 0.0
         y = math.exp(x)
@@ -116,9 +108,9 @@ def replicate_convex(payoff: ConvexPayoff, smile: SmileCurve, tol: float = 1e-8)
             continue
         xk = math.log(loc)
         if loc <= x0:
-            value += jump * _put_linear(smile, xk)
+            value += jump * put_price(xk, smile(xk)).p
         else:
-            value += jump * call_price(xk, float(smile(xk)))
+            value += jump * call_price(xk, smile(xk))
     return value
 
 
@@ -160,12 +152,12 @@ def log_contract_strip(smile: SmileCurve, tol: float = 1e-8) -> float:
     _check_left_decay(smile)
 
     def left(x: float) -> float:
-        lp = _put_at(smile, x).log_p
+        lp = put_price(x, smile(x)).log_p
         arg = lp - x
         return math.exp(arg) if arg > -745.0 else 0.0
 
     def right(x: float) -> float:
-        c = call_price(x, float(smile(x)))
+        c = call_price(x, smile(x))
         return c * math.exp(-x) if c > 0.0 else 0.0
 
     knots = np.asarray(smile.x, dtype=float)
@@ -183,7 +175,7 @@ def log_contract_strip(smile: SmileCurve, tol: float = 1e-8) -> float:
 
         def far(u: float) -> float:
             x = -math.exp(u)
-            lp = _put_at(smile, x).log_p
+            lp = put_price(x, smile(x)).log_p
             arg = lp - x + u
             return math.exp(arg) if arg > -745.0 else 0.0
 

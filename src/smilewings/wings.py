@@ -246,6 +246,8 @@ def estimate_q(
         raise DomainError("all tail points must satisfy x < -1")
     if method not in ("min-statistic", "least-squares"):
         raise DomainError(f"unknown method {method!r}")
+    if not 0.0 < q_ceiling < math.inf:
+        raise DomainError(f"q_ceiling must be finite and > 0, got {q_ceiling}")
     arr = np.array(xs)
     ivs = np.asarray(smile(arr), dtype=float)
     if np.any(ivs <= 0.0):

@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from smilewings.blackscholes import (
     NormalizedPutPrice,
@@ -306,6 +307,76 @@ def test_vector_evaluation_matches_scalar():
     assert vec.shape == xs.shape
     for x, v in zip(xs, vec):
         assert float(v) == sm(float(x))
+
+
+def _mask_eval(sm, at, want_deriv):
+    """The evaluator SmileCurve had before its cell table, kept as a
+    reference: masks over an array, scipy's PPoly or np.interp inside the
+    grid, and the clamps or the wing form on whole arrays outside."""
+    xs = np.atleast_1d(np.asarray(at, dtype=float))
+    out = np.empty_like(xs)
+    left, right = xs < sm.x[0], xs > sm.x[-1]
+    mid = ~(left | right)
+    inner = xs[mid]
+    if sm.x.size == 1:
+        out[mid] = 0.0 if want_deriv else sm.vol[0]
+    elif sm.interpolation == "monotone-cubic":
+        pchip = PchipInterpolator(sm.x, sm.vol, extrapolate=False)
+        out[mid] = (pchip.derivative() if want_deriv else pchip)(inner)
+    elif want_deriv:
+        k = np.searchsorted(sm.x, inner, side="right") - 1
+        out[mid] = (np.diff(sm.vol) / np.diff(sm.x))[np.clip(k, 0, sm.x.size - 2)]
+    else:
+        out[mid] = np.interp(inner, sm.x, sm.vol)
+    out[right] = 0.0 if want_deriv else sm.vol[-1]
+    if sm.wing is None:
+        out[left] = 0.0 if want_deriv else sm.vol[0]
+    elif np.any(left):
+        out[left] = (sm.wing.derivative if want_deriv else sm.wing.vol)(xs[left])
+    return out
+
+
+# [-2, -1.5, -1] with vols 0.1, 0.4, 0.1 hits both end rules at x = -1: the
+# last PCHIP cell there is not 0.1 to the bit, and np.interp returns 0.1
+# where the last secant line gives 0.10000000000000003.  The third example
+# is a wing point whose value moves by an ulp under libm's log instead of
+# numpy's.
+@settings(max_examples=150)
+@given(x0=st.floats(-30.0, -1.01),
+       gaps=st.lists(st.floats(1e-3, 5.0), max_size=11),
+       vols=st.lists(st.floats(0.01, 3.0), min_size=12, max_size=12),
+       linear=st.booleans(),
+       q=st.none() | st.floats(0.0, 3.0),
+       probes=st.lists(st.floats(-40.0, 60.0), max_size=8))
+@example(x0=-2.0, gaps=[0.5, 0.5], vols=[0.1, 0.4, 0.1] * 4, linear=False,
+         q=None, probes=[])
+@example(x0=-2.0, gaps=[0.5, 0.5], vols=[0.1, 0.4, 0.1] * 4, linear=True,
+         q=1.5, probes=[])
+@example(x0=-16.4, gaps=[], vols=[2.91] * 12, linear=False, q=2.4,
+         probes=[-31.098905688023834])
+def test_cell_table_matches_mask_evaluator(x0, gaps, vols, linear, q, probes):
+    knots = (x0 + np.concatenate([[0.0], np.cumsum(gaps)])).tolist()
+    wing = {} if q is None else {"left_wing": "corollary_expansion",
+                                 "left_wing_q": q}
+    sm = SmileCurve(knots, vols[:len(knots)],
+                    interpolation="linear" if linear else "monotone-cubic",
+                    **wing)
+    pts = np.array(knots + [math.nextafter(k, d) for k in knots
+                            for d in (-math.inf, math.inf)]
+                   + [knots[0] - 1.0, knots[-1] + 1.0, -math.inf, math.inf,
+                      math.nan] + probes)
+    with np.errstate(all="ignore"):
+        for want_deriv, ev in ((False, sm), (True, sm.derivative)):
+            for x in pts.tolist():
+                got = ev(x)
+                assert type(got) is float
+                ref = float(_mask_eval(sm, x, want_deriv)[0])
+                assert got == ref or (math.isnan(got) and math.isnan(ref))
+            ref = _mask_eval(sm, pts, want_deriv)
+            assert np.array_equal(ev(pts), ref, equal_nan=True)
+            grid = ev(pts.reshape(1, -1))
+            assert grid.shape == (1, pts.size)
+            assert np.array_equal(grid[0], ref, equal_nan=True)
 
 
 def test_f_transform_flat():

@@ -177,6 +177,16 @@ class TestWingFit:
                                 "--x-max", "-4.1"], capsys)
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("method", ["least-squares", "min-statistic"])
+    def test_infinite_q_ceiling_is_exit_2(self, tmp_path, capsys, method):
+        path = write_smile(tmp_path / "flat.csv", SmileCurve.flat(0.2))
+        code, _, err = run_cli(["wing-fit", "--input", path, "--x-min", "-15",
+                                "--x-max", "-5", "--method", method,
+                                "--q-ceiling", "inf"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_config_file_and_flag_precedence(self, tmp_path, capsys):
         path = write_smile(tmp_path / "flat.csv", SmileCurve.flat(0.2))
         cfgfile = write_text(tmp_path / "run.cfg", "q_ceiling = 5\n")

@@ -25,6 +25,7 @@ class TestRunConfig:
         {"seed": -1},
         {"z_range": 0.0},
         {"output_format": "yaml"},
+        {"q_ceiling": math.inf},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(DomainError):

@@ -239,6 +239,10 @@ class TestEstimator:
             estimate_q(sm, [-5.0, -0.5])
         with pytest.raises(DomainError):
             estimate_q(sm, [-5.0], method="maximum-likelihood")
+        for method in ("min-statistic", "least-squares"):
+            for q_ceiling in (math.inf, math.nan, 0.0):
+                with pytest.raises(DomainError):
+                    estimate_q(sm, [-5.0], method=method, q_ceiling=q_ceiling)
 
     def test_nonpositive_vol_rejected(self):
         # No public constructor can produce a curve that evaluates <= 0, so
