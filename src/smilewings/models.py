@@ -675,20 +675,50 @@ def ig_moment(r: float, shape: float, scale: float) -> float:
 # path sampling
 
 
+def _path_streams(seed: int, path_offset: int, n_paths: int):
+    """Yield one Generator n_paths times, its Philox re-keyed to
+    (seed, path_offset + i) before the i-th yield.
+
+    A zero counter and an empty buffer make each stream exactly that of a
+    fresh ``Generator(Philox(key=[seed, path_offset + i]))``, without
+    building a seed sequence from OS entropy per path.  Draw a path's
+    numbers before advancing to the next.
+    """
+    bits = np.random.Philox(key=[seed, path_offset])
+    gen = np.random.Generator(bits)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for j in range(path_offset, path_offset + n_paths):
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros,
+                      "key": np.array([seed, j], dtype=np.uint64)},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        yield gen
+
+
 def sample_paths(model: ModelSpec, n_steps: int, n_paths: int, seed: int,
                  path_offset: int = 0) -> list[PricePath]:
     """Simulate normalized price paths on [0, 1].
 
-    Each path gets its own counter-based bit generator keyed by
+    Each path gets its own counter-based stream keyed by
     (seed, path_offset + i), so disjoint chunks drawn in parallel or across
-    runs never overlap and any path can be regenerated in isolation.
+    runs never overlap and any path can be regenerated in isolation.  Both
+    key words must lie in [0, 2**63).
     """
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     if n_paths < 0:
         raise DomainError(f"n_paths must be >= 0, got {n_paths}")
+    if not 0 <= seed < 2**63:
+        raise DomainError(f"seed must lie in [0, 2**63), got {seed}")
+    if not (0 <= path_offset and path_offset + n_paths <= 2**63):
+        raise DomainError(
+            f"path keys {path_offset} .. {path_offset + n_paths - 1} must lie "
+            "in [0, 2**63)")
     if n_paths == 0:
         return []
+    streams = _path_streams(seed, path_offset, n_paths)
 
     if isinstance(model, Lognormal):
         s = model.sigma
@@ -696,16 +726,18 @@ def sample_paths(model: ModelSpec, n_steps: int, n_paths: int, seed: int,
         drift = -0.5 * s * s * dt
         step = s * math.sqrt(dt)
         times = np.linspace(0.0, 1.0, n_steps + 1)
-        out = []
-        log_vals = np.empty(n_steps + 1)
-        log_vals[0] = 0.0
-        for i in range(n_paths):
-            gen = np.random.Generator(
-                np.random.Philox(key=[seed, path_offset + i]))
-            z = gen.standard_normal(n_steps)
-            np.cumsum(drift + step * z, out=log_vals[1:])
-            out.append(PricePath(times.copy(), np.exp(log_vals)))
-        return out
+        # One block, transformed in place: separate blocks for the normals,
+        # the log-path and its exponential would each be as large as the
+        # paths themselves.
+        vals = np.zeros((n_paths, n_steps + 1))
+        body = vals[:, 1:]
+        for gen, row in zip(streams, body):
+            gen.standard_normal(out=row)
+        body *= step
+        body += drift
+        np.cumsum(body, axis=1, out=body)
+        np.exp(vals, out=vals)
+        return [PricePath(times.copy(), row) for row in vals]
 
     if isinstance(model, LogMixture):
         if n_steps != 1:
@@ -715,9 +747,7 @@ def sample_paths(model: ModelSpec, n_steps: int, n_paths: int, seed: int,
         kappa = _mixture_kappa(s, model.y_shape, model.y_scale)
         times = np.array([0.0, 1.0])
         out = []
-        for i in range(n_paths):
-            gen = np.random.Generator(
-                np.random.Philox(key=[seed, path_offset + i]))
+        for gen in streams:
             z = gen.standard_normal()
             g = gen.gamma(model.y_shape)
             y = model.y_scale / g

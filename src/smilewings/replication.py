@@ -46,9 +46,14 @@ class PricePath:
             raise DomainError("times and values must be 1-d and equally long")
         if t[0] != 0.0:
             raise DomainError("path must start at t = 0")
-        if np.any(np.diff(t) <= 0.0):
+        # Together these reject every non-finite time: a NaN compares false,
+        # so it fails the order test, and in increasing times an infinity
+        # can only be the last.
+        if not t[-1] < math.inf:
+            raise DomainError("times must be finite")
+        if not (t[1:] > t[:-1]).all():
             raise DomainError("times must be strictly increasing")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
+        if not (v.min() > 0.0 and v.max() < math.inf):
             raise DomainError("path values must be finite and > 0")
 
 
@@ -212,16 +217,17 @@ def discrete_varswap_payoff(
     (daily monitoring at the given annualization).  Scaling the whole path
     leaves the result unchanged.
     """
-    if annualization <= 0.0:
-        raise DomainError("annualization must be > 0")
+    if not 0.0 < annualization < math.inf:
+        raise DomainError("annualization must be finite and > 0")
     values = path.values
     if values.size < 2:
         raise DomainError("path needs at least 2 points")
-    if np.any(values <= 0.0):
+    if not values.min() > 0.0:
         raise DomainError("path values must be > 0")
     n = values.size - 1
     horizon = float(horizon_T) if horizon_T is not None else n / float(annualization)
-    if horizon <= 0.0:
-        raise DomainError("horizon_T must be > 0")
-    r = np.diff(np.log(values))
-    return float(np.dot(r, r) / horizon)
+    if not 0.0 < horizon < math.inf:
+        raise DomainError("horizon_T must be finite and > 0")
+    lv = np.log(values)
+    r = lv[1:] - lv[:-1]
+    return float(r.dot(r) / horizon)

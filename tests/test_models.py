@@ -14,6 +14,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import levy_stable
 
@@ -30,6 +32,7 @@ from smilewings.models import (
     _fmls_drift,
     _fmls_log_put_deep,
     _fmls_log_put_mid,
+    _mixture_kappa,
     _tail_cdf,
     _tail_coeffs,
     certified_q,
@@ -444,6 +447,81 @@ def test_sample_paths_edge_cases():
         sample_paths(JUMP, 5, 1, seed=1)
     with pytest.raises(Unsupported):
         sample_paths(LogMixture(Brownian(0.2), 3.0, 2.0), 2, 1, seed=1)
+
+
+@pytest.mark.parametrize("seed, n_paths, path_offset", [
+    (-1, 1, 0),
+    (0, 1, -1),
+    (2**63, 1, 0),
+    (2**64, 1, 0),
+    (0, 2, 2**63 - 1),
+])
+def test_sample_paths_rejects_keys_outside_63_bits(seed, n_paths, path_offset):
+    # Both Philox key words must lie in [0, 2**63), as RunConfig's seed does;
+    # numpy would silently wrap a negative word to 2**64 - 1.
+    with pytest.raises(DomainError):
+        sample_paths(Lognormal(0.2), 3, n_paths, seed=seed,
+                     path_offset=path_offset)
+
+
+def _paths_by_fresh_generators(model, n_steps, n_paths, seed, path_offset):
+    """The per-path sampler: a new Generator(Philox) for every path."""
+    out = []
+    for i in range(n_paths):
+        gen = np.random.Generator(
+            np.random.Philox(key=[seed, path_offset + i]))
+        if isinstance(model, Lognormal):
+            s = model.sigma
+            dt = 1.0 / n_steps
+            drift = -0.5 * s * s * dt
+            step = s * math.sqrt(dt)
+            log_vals = np.empty(n_steps + 1)
+            log_vals[0] = 0.0
+            z = gen.standard_normal(n_steps)
+            np.cumsum(drift + step * z, out=log_vals[1:])
+            out.append((np.linspace(0.0, 1.0, n_steps + 1), np.exp(log_vals)))
+        else:
+            s = model.x_part.sigma
+            kappa = _mixture_kappa(s, model.y_shape, model.y_scale)
+            z = gen.standard_normal()
+            y = model.y_scale / gen.gamma(model.y_shape)
+            out.append((np.array([0.0, 1.0]),
+                        np.array([1.0, math.exp(s * z - y - kappa)])))
+    return out
+
+
+@settings(max_examples=150)
+@given(mixture=st.booleans(),
+       sigma=st.floats(min_value=0.01, max_value=2.0),
+       n_steps=st.integers(min_value=1, max_value=300),
+       n_paths=st.integers(min_value=0, max_value=40),
+       seed=st.integers(min_value=0, max_value=2**63 - 1),
+       path_offset=st.integers(min_value=0, max_value=2**63 - 41))
+@example(mixture=False, sigma=0.2, n_steps=252, n_paths=1, seed=42,
+         path_offset=0)
+@example(mixture=True, sigma=0.2, n_steps=1, n_paths=1, seed=42,
+         path_offset=0)
+@example(mixture=False, sigma=0.3, n_steps=5, n_paths=7, seed=7,
+         path_offset=2**40 + 3)
+@example(mixture=True, sigma=0.3, n_steps=1, n_paths=7, seed=7,
+         path_offset=9000)
+def test_sample_paths_match_fresh_generator_per_path(
+        mixture, sigma, n_steps, n_paths, seed, path_offset):
+    # Re-keying one Philox per path must reproduce a fresh generator's draws
+    # bit for bit, in both models and at any key.
+    if mixture:
+        model = LogMixture(Brownian(sigma), 3.0, 0.1)
+        n_steps = 1
+    else:
+        model = Lognormal(sigma)
+    got = sample_paths(model, n_steps, n_paths, seed=seed,
+                       path_offset=path_offset)
+    want = _paths_by_fresh_generators(model, n_steps, n_paths, seed,
+                                      path_offset)
+    assert len(got) == len(want)
+    for path, (times, values) in zip(got, want):
+        assert np.array_equal(path.times, times)
+        assert np.array_equal(path.values, values)
 
 
 def test_lognormal_paths_have_martingale_mean():

@@ -11,6 +11,8 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smilewings.blackscholes import SmileCurve, call_price
 from smilewings.errors import DivergentWing, DomainError
@@ -205,6 +207,41 @@ def test_discrete_payoff_validation():
     single = PricePath(np.array([0.0]), np.array([1.0]))
     with pytest.raises(DomainError):
         discrete_varswap_payoff(single)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"horizon_T": math.nan},
+    {"horizon_T": math.inf},
+    {"annualization": math.nan},
+])
+def test_discrete_payoff_rejects_non_finite_scales(kwargs):
+    path = PricePath(np.array([0.0, 1.0]), np.array([1.0, 1.1]))
+    with pytest.raises(DomainError, match="finite and > 0"):
+        discrete_varswap_payoff(path, **kwargs)
+
+
+@given(values=st.lists(st.floats(min_value=1e-300, max_value=1e300),
+                       min_size=2, max_size=300),
+       horizon_T=st.one_of(st.none(),
+                           st.floats(min_value=1e-3, max_value=1e3)))
+def test_discrete_payoff_matches_diff_of_logs(values, horizon_T):
+    v = np.array(values)
+    path = PricePath(np.arange(v.size, dtype=float), v)
+    r = np.diff(np.log(v))
+    horizon = horizon_T if horizon_T is not None else (v.size - 1) / 252.0
+    assert discrete_varswap_payoff(path, horizon_T=horizon_T) \
+        == float(np.dot(r, r) / horizon)
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, math.nan],
+    [0.0, math.inf],
+    [0.0, math.nan, 1.0],
+    [0.0, 0.5, math.inf],
+])
+def test_price_path_rejects_non_finite_times(times):
+    with pytest.raises(DomainError):
+        PricePath(np.array(times), np.ones(len(times)))
 
 
 def test_price_path_validation():
