@@ -24,11 +24,10 @@ import warnings
 
 import numpy as np
 
-from smilewings.acceptance import fmls_mean_log_oracle
 from smilewings.config import resolve_config
 from smilewings.fileio import to_canonical_json
 from smilewings.gf import build_transform, gf_varswap
-from smilewings.models import FMLS, model_smile
+from smilewings.models import FMLS, fmls_mean_log_oracle, model_smile
 from smilewings.replication import varswap_strip
 
 

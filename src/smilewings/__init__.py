@@ -13,14 +13,13 @@ from .errors import DivergentWing, DomainError, EmptyTail, FileFormatError, \
     ToleranceNotReached, Unsupported
 from .gf import PayoffSpec, TransformedSmile, build_transform, gf_varswap, \
     price_psi_ac, price_psi_c2
-from .models import FMLS, Brownian, CertifiedQ, LevyTriplet, LogMixture, \
-    Lognormal, certified_q, char_exponent, ig_moment, levy_triplet, \
-    log_moment_oracle, model_put, model_smile, sample_paths
-from .replication import ConvexPayoff, PricePath, discrete_varswap_payoff, \
-    log_contract_strip, replicate_convex, varswap_strip
+from .models import FMLS, Brownian, CertifiedQ, LogMixture, Lognormal, \
+    certified_q, log_moment_oracle, model_put, model_smile, sample_paths
+from .replication import PricePath, discrete_varswap_payoff, \
+    log_contract_strip, varswap_strip
 from .wings import WingExpansion, WingReport, estimate_q, iv_wing_bound, \
-    lee_beta_to_p, lee_bound_check, lee_p_to_beta, log_moment_statistic, \
-    put_upper_bound, v_q, wing_expansion
+    lee_bound_check, log_moment_statistic, put_upper_bound, v_q, \
+    wing_expansion
 
 __version__ = "0.1.0"
 
@@ -30,19 +29,18 @@ __all__ = [
     "NormalizedPutPrice", "SmileCurve", "WingForm", "put_price", "call_price",
     "vega", "implied_vol", "d_minus", "f_transform",
     # wings
-    "lee_p_to_beta", "lee_beta_to_p", "lee_bound_check", "v_q",
-    "put_upper_bound", "iv_wing_bound", "log_moment_statistic",
-    "wing_expansion", "WingExpansion", "estimate_q", "WingReport",
+    "lee_bound_check", "v_q", "put_upper_bound", "iv_wing_bound",
+    "log_moment_statistic", "wing_expansion", "WingExpansion", "estimate_q",
+    "WingReport",
     # replication
-    "PricePath", "ConvexPayoff", "replicate_convex",
-    "log_contract_strip", "varswap_strip", "discrete_varswap_payoff",
+    "PricePath", "log_contract_strip", "varswap_strip",
+    "discrete_varswap_payoff",
     # transform pricing
     "PayoffSpec", "TransformedSmile", "build_transform", "gf_varswap",
     "price_psi_c2", "price_psi_ac",
     # reference models
     "Lognormal", "Brownian", "FMLS", "LogMixture", "CertifiedQ",
-    "certified_q", "LevyTriplet", "levy_triplet", "char_exponent",
-    "model_put", "model_smile", "log_moment_oracle", "ig_moment",
+    "certified_q", "model_put", "model_smile", "log_moment_oracle",
     "sample_paths",
     # configuration
     "RunConfig", "resolve_config",

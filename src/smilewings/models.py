@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,14 +47,10 @@ __all__ = [
     "ModelSpec",
     "CertifiedQ",
     "certified_q",
-    "LevyTriplet",
-    "levy_triplet",
-    "char_exponent",
     "model_put",
     "model_smile",
     "log_moment_oracle",
     "fmls_mean_log_oracle",
-    "ig_moment",
     "sample_paths",
 ]
 
@@ -152,7 +149,7 @@ def certified_q(model: ModelSpec) -> CertifiedQ:
 
 
 # ---------------------------------------------------------------------------
-# Levy structure
+# FMLS martingale drift
 
 
 def _fmls_drift(alpha: float, scale: float) -> float:
@@ -163,74 +160,6 @@ def _fmls_drift(alpha: float, scale: float) -> float:
     except OverflowError:
         raise Unsupported(
             f"FMLS scale {scale} overflows scale**alpha") from None
-
-
-@dataclass(frozen=True)
-class LevyTriplet:
-    """(xi, gamma, nu): Gaussian variance, truncated drift, jump density.
-
-    ``levy_density`` is the density of nu on R \\ {0} (None for pure
-    diffusion).  Construction checks int (1 ^ x^2) nu(dx) < infinity
-    numerically.
-    """
-
-    xi: float
-    gamma: float
-    levy_density: Callable[[float], float] | None
-
-    def __post_init__(self) -> None:
-        if self.xi < 0.0:
-            raise DomainError(f"xi must be >= 0, got {self.xi}")
-        nu = self.levy_density
-        if nu is None:
-            return
-        small = quad(lambda t: t * t * nu(t), -1.0, 0.0, limit=200)[0]
-        small += quad(lambda t: t * t * nu(t), 0.0, 1.0, limit=200)[0]
-        big = quad(nu, -math.inf, -1.0, limit=200)[0]
-        big += quad(nu, 1.0, math.inf, limit=200)[0]
-        total = small + big
-        if not math.isfinite(total):
-            raise DomainError("levy density fails the (1 ^ x^2) integrability check")
-
-
-def levy_triplet(model: ModelSpec) -> LevyTriplet:
-    if isinstance(model, Lognormal):
-        s2 = model.sigma * model.sigma
-        return LevyTriplet(xi=s2, gamma=-0.5 * s2, levy_density=None)
-    if isinstance(model, FMLS):
-        alpha, scale = model.alpha, model.scale
-        c = _fmls_drift(alpha, scale)
-        k_nu = -c / math.gamma(-alpha)
-
-        def density(t: float) -> float:
-            return k_nu * abs(t) ** (-1.0 - alpha) if t < 0.0 else 0.0
-
-        return LevyTriplet(xi=0.0, gamma=c + k_nu / (alpha - 1.0),
-                           levy_density=density)
-    raise Unsupported(f"no Levy triplet for {type(model).__name__}")
-
-
-def char_exponent(model: ModelSpec, u: complex) -> complex:
-    """psi(u) = log E[exp(i u log S_T)], continued to Im(u) <= 0.
-
-    For FMLS the continuation uses the principal branch of (iu)^alpha,
-    which agrees with the standard S1 stable parametrization on the real
-    axis; Im(u) > 0 is outside the strip where the heavy left tail keeps
-    the expectation finite.
-    """
-    u = complex(u)
-    if isinstance(model, Lognormal):
-        s2 = model.sigma * model.sigma
-        return -0.5 * s2 * u * u - 0.5j * s2 * u
-    if isinstance(model, FMLS):
-        if u.imag > 1e-12:
-            raise DomainError("char_exponent needs Im(u) <= 0 for FMLS")
-        if u == 0:
-            return 0.0 + 0.0j
-        c = _fmls_drift(model.alpha, model.scale)
-        iu = 1j * u
-        return c * (iu - cmath.exp(model.alpha * cmath.log(iu)))
-    raise Unsupported(f"no closed characteristic exponent for {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +294,8 @@ def _fmls_call_cm(x: float, alpha: float, scale: float, tol: float) -> float:
     c = _fmls_drift(alpha, scale)
 
     def rho(v: float) -> complex:
+        # The FMLS exponent psi(u) = c(iu - (iu)^alpha) at u = v - (eta + 1)i;
+        # with the principal branch of (iu)^alpha it is the S1 law's exponent.
         iu = complex(eta + 1.0, v)
         psi = c * (iu - iu**alpha)
         return cmath.exp(psi) / complex(eta * eta + eta - v * v, (2.0 * eta + 1.0) * v)
@@ -659,18 +590,6 @@ def _mixture_abs_moment(model: LogMixture, q: float, tol: float) -> float:
     return integrate(leg, 0.0, math.inf, tol=tol).value
 
 
-def ig_moment(r: float, shape: float, scale: float) -> float:
-    """E[Y^r] for Y ~ inverse-gamma(shape, scale): scale^r Gamma(shape-r)
-    / Gamma(shape) when r < shape, +inf sentinel otherwise."""
-    if not shape > 0.0 or not scale > 0.0:
-        raise DomainError("shape and scale must be > 0")
-    if math.isnan(r):
-        raise DomainError("r must be a number")
-    if r >= shape:
-        return math.inf
-    return scale**r * math.exp(math.lgamma(shape - r) - math.lgamma(shape))
-
-
 # ---------------------------------------------------------------------------
 # path sampling
 
@@ -697,6 +616,13 @@ def _path_streams(seed: int, path_offset: int, n_paths: int):
         yield gen
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def sample_paths(model: ModelSpec, n_steps: int, n_paths: int, seed: int,
                  path_offset: int = 0) -> list[PricePath]:
     """Simulate normalized price paths on [0, 1].
@@ -704,8 +630,13 @@ def sample_paths(model: ModelSpec, n_steps: int, n_paths: int, seed: int,
     Each path gets its own counter-based stream keyed by
     (seed, path_offset + i), so disjoint chunks drawn in parallel or across
     runs never overlap and any path can be regenerated in isolation.  Both
-    key words must lie in [0, 2**63).
+    key words must lie in [0, 2**63).  Every count and key word must be an
+    integer: numpy would truncate a fractional key word silently.
     """
+    n_steps = _integer("n_steps", n_steps)
+    n_paths = _integer("n_paths", n_paths)
+    seed = _integer("seed", seed)
+    path_offset = _integer("path_offset", path_offset)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     if n_paths < 0:

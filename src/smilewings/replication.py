@@ -1,5 +1,5 @@
-"""Static replication: convex payoffs from option strips, the log contract,
-the variance-swap strike, and the discretely monitored variance-swap payoff.
+"""Static replication: the log contract from an option strip, the
+variance-swap strike, and the discretely monitored variance-swap payoff.
 
 Strike integrals are carried out in log-moneyness, with put prices taken
 through their log channel so that deep-wing regions contribute exactly
@@ -22,8 +22,6 @@ from .numerics import integrate, log1mexp, log_mills_ratio, log_mills_ratio_from
 
 __all__ = [
     "PricePath",
-    "ConvexPayoff",
-    "replicate_convex",
     "log_contract_strip",
     "varswap_strip",
     "discrete_varswap_payoff",
@@ -55,68 +53,6 @@ class PricePath:
             raise DomainError("times must be strictly increasing")
         if not (v.min() > 0.0 and v.max() < math.inf):
             raise DomainError("path values must be finite and > 0")
-
-
-@dataclass(frozen=True, eq=False)
-class ConvexPayoff:
-    """A convex payoff of the terminal price with density f'' = mu.
-
-    ``second_derivative_density`` is the absolutely continuous part of mu;
-    slope kinks (atoms of mu) are listed in ``kinks`` as (location, jump)
-    pairs, each adding jump * P(location) or jump * C(location) to the
-    replication depending on which side of the pivot it falls.
-    """
-
-    f: Callable[[float], float]
-    f_prime: Callable[[float], float]
-    second_derivative_density: Callable[[float], float]
-    pivot_x0: float
-    kinks: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.pivot_x0 > 0.0:
-            raise DomainError(f"pivot must be > 0, got {self.pivot_x0}")
-        object.__setattr__(self, "kinks", tuple(self.kinks))
-        for loc, jump in self.kinks:
-            if loc <= 0.0:
-                raise DomainError("kink locations must be > 0")
-            if jump < 0.0:
-                raise DomainError("kink weights must be >= 0 (convexity)")
-
-
-def replicate_convex(payoff: ConvexPayoff, smile: SmileCurve, tol: float = 1e-8) -> float:
-    """Price E[f(S_T)] as f(x0) + f'(x0)(1 - x0) + strip of puts below the
-    pivot and calls above it, weighted by mu = f''."""
-    x0 = payoff.pivot_x0
-    log_x0 = math.log(x0)
-    mu = payoff.second_derivative_density
-
-    def put_leg(x: float) -> float:
-        p = put_price(x, smile(x)).p
-        if p == 0.0:
-            return 0.0
-        y = math.exp(x)
-        return p * mu(y) * y
-
-    def call_leg(x: float) -> float:
-        c = call_price(x, smile(x))
-        if c == 0.0:
-            return 0.0
-        y = math.exp(x)
-        return c * mu(y) * y
-
-    value = payoff.f(x0) + payoff.f_prime(x0) * (1.0 - x0)
-    value += integrate(put_leg, -math.inf, log_x0, tol=0.5 * tol).value
-    value += integrate(call_leg, log_x0, math.inf, tol=0.5 * tol).value
-    for loc, jump in payoff.kinks:
-        if jump == 0.0:
-            continue
-        xk = math.log(loc)
-        if loc <= x0:
-            value += jump * put_price(xk, smile(xk)).p
-        else:
-            value += jump * call_price(xk, smile(xk))
-    return value
 
 
 def _check_left_decay(smile: SmileCurve) -> None:

@@ -21,12 +21,9 @@ from .errors import DomainError, EmptyTail, NonPositiveVol
 from .numerics import lambert_w_m1
 
 __all__ = [
-    "MomentIndices",
     "WingReport",
     "WingExpansion",
     "PutUpperBound",
-    "lee_p_to_beta",
-    "lee_beta_to_p",
     "lee_bound_check",
     "v_q",
     "put_upper_bound",
@@ -37,48 +34,6 @@ __all__ = [
 ]
 
 _NEG_INV_E = -math.exp(-1.0)
-
-
-def lee_p_to_beta(p: float) -> float:
-    """Left-wing total-variance slope from the negative-moment order:
-    beta = 2 - 4(sqrt(p^2 + p) - p), evaluated in cancellation-free form."""
-    if math.isnan(p) or p < 0.0:
-        raise DomainError(f"lee_p_to_beta requires p >= 0, got {p}")
-    if math.isinf(p):
-        return 0.0
-    if p == 0.0:
-        return 2.0
-    return 2.0 - 4.0 / (math.sqrt(1.0 + 1.0 / p) + 1.0)
-
-
-def lee_beta_to_p(beta: float) -> float:
-    """Inverse of :func:`lee_p_to_beta`: p = 1/(2 beta) + beta/8 - 1/2 on
-    (0, 2].  beta = 0 corresponds to p = infinity and is rejected; callers
-    should work on the p side for that case."""
-    if math.isnan(beta) or beta <= 0.0 or beta > 2.0:
-        raise DomainError(f"lee_beta_to_p requires beta in (0, 2], got {beta}")
-    return 0.5 / beta + beta / 8.0 - 0.5
-
-
-@dataclass(frozen=True)
-class MomentIndices:
-    """The three tail indices of a distribution: negative-power moment order
-    p, left total-variance slope beta_L, and log-moment order q."""
-
-    p: float
-    beta_L: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if self.p < 0.0 or self.q < 0.0:
-            raise DomainError("moment orders must be >= 0")
-        if not 0.0 <= self.beta_L <= 2.0:
-            raise DomainError("beta_L must lie in [0, 2]")
-        linked = lee_p_to_beta(self.p)
-        if abs(linked - self.beta_L) > 1e-8:
-            raise DomainError(
-                f"beta_L = {self.beta_L} inconsistent with p = {self.p} "
-                f"(bijection gives {linked})")
 
 
 def lee_bound_check(

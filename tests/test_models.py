@@ -8,7 +8,6 @@ cdf, and direct density quadrature all agree on the shared digits.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 
@@ -36,9 +35,6 @@ from smilewings.models import (
     _tail_cdf,
     _tail_coeffs,
     certified_q,
-    char_exponent,
-    ig_moment,
-    levy_triplet,
     log_moment_oracle,
     model_put,
     model_smile,
@@ -71,67 +67,19 @@ def test_certified_moment_orders():
 
 
 # ---------------------------------------------------------------------------
-# characteristic exponent and Levy structure
+# the FMLS exponent
 
 
-def test_char_exponent_matches_stable_parametrization():
-    # psi(u) = c(iu - (iu)^alpha) must reproduce the standard totally-skewed
-    # S1 form i mu u - |scale u|^alpha (1 + i sign(u) tan(pi alpha / 2)).
-    c = _fmls_drift(ALPHA, SCALE)
-    tan = math.tan(0.5 * math.pi * ALPHA)
-    for u in (0.3, 1.0, 4.0, -2.5):
-        psi = char_exponent(JUMP, u)
-        s1 = 1j * c * u - abs(SCALE * u) ** ALPHA * (
-            1.0 + 1j * math.copysign(1.0, u) * tan)
-        assert abs(psi - s1) < 1e-14
-
-
-def test_char_exponent_martingale_normalization():
-    # E[S_T] = 1 is psi(-i) = 0, exactly, for every model with a closed psi.
-    assert char_exponent(JUMP, -1j) == 0.0
-    assert char_exponent(Lognormal(0.2), -1j) == 0.0
-
-
-def test_char_exponent_lognormal():
-    s2 = 0.04
-    u = 1.7
-    expected = -0.5 * s2 * u * u - 0.5j * s2 * u
-    assert cmath.isclose(char_exponent(Lognormal(0.2), u), expected,
-                         rel_tol=1e-15)
-
-
-def test_char_exponent_rejects_upper_half_plane():
-    with pytest.raises(DomainError):
-        char_exponent(JUMP, 1.0 + 0.5j)
-    with pytest.raises(Unsupported):
-        char_exponent(LogMixture(Brownian(0.2), 3.0, 2.0), 1.0)
-
-
-def test_levy_triplet_structure():
-    t = levy_triplet(Lognormal(0.2))
-    assert math.isclose(t.xi, 0.04, rel_tol=1e-15)
-    assert math.isclose(t.gamma, -0.02, rel_tol=1e-15)
-    assert t.levy_density is None
-    t = levy_triplet(JUMP)
-    assert t.xi == 0.0
-    assert t.levy_density(1.0) == 0.0            # one-sided jumps
-    assert t.levy_density(-1.0) > 0.0
-    # the density is the stable one: k |t|^{-1-alpha}
-    ratio = t.levy_density(-2.0) / t.levy_density(-1.0)
-    assert math.isclose(ratio, 2.0 ** (-1.0 - ALPHA), rel_tol=1e-12)
-    with pytest.raises(Unsupported):
-        levy_triplet(LogMixture(Brownian(0.2), 3.0, 2.0))
-
-
-def test_exponential_moments_match_char_exponent():
+def test_exponential_moments_match_fmls_exponent():
     """E[S^p] = exp(c(p - p^alpha)) against direct density quadrature.
 
-    The integrand e^{pt} f(t) peaks in a narrow window on the right flank;
-    the peak location is declared to the quadrature.
+    p = 1 is the martingale normalization E[S_T] = 1.  The integrand
+    e^{pt} f(t) peaks in a narrow window on the right flank; the peak
+    location is declared to the quadrature.
     """
     c = _fmls_drift(ALPHA, SCALE)
     dist = _fmls_dist(ALPHA, SCALE)
-    for p in (2.0, 5.0):
+    for p in (1.0, 2.0, 5.0):
         ts = np.linspace(-5.0, 25.0, 121)
         dens = dist.pdf(ts)
         with np.errstate(divide="ignore"):
@@ -377,17 +325,6 @@ def test_fmls_moment_pin():
                         rel_tol=1e-9)
 
 
-def test_ig_moment():
-    assert ig_moment(0.0, 5.0, 1.0) == 1.0
-    assert ig_moment(1.0, 3.0, 2.0) == pytest.approx(1.0, rel=1e-14)
-    assert ig_moment(3.0, 3.0, 2.0) == math.inf
-    assert ig_moment(3.5, 3.0, 2.0) == math.inf
-    with pytest.raises(DomainError):
-        ig_moment(1.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        ig_moment(math.nan, 1.0, 1.0)
-
-
 def test_mixture_put_behaves():
     mix = LogMixture(Brownian(0.3), 3.0, 2.0)
     ps = [model_put(mix, x).p for x in (-3.0, -1.0, 0.0)]
@@ -413,8 +350,12 @@ def test_mixture_martingale_by_simulation():
 def test_sample_paths_deterministic():
     a = sample_paths(Lognormal(0.2), 10, 3, seed=42)
     b = sample_paths(Lognormal(0.2), 10, 3, seed=42)
-    for pa, pb in zip(a, b):
+    # numpy integers are integers: the same key gives the same paths
+    n = sample_paths(Lognormal(0.2), np.int64(10), np.int64(3),
+                     seed=np.int64(42), path_offset=np.int64(0))
+    for pa, pb, pn in zip(a, b, n, strict=True):
         assert np.array_equal(pa.values, pb.values)
+        assert np.array_equal(pa.values, pn.values)
     c = sample_paths(Lognormal(0.2), 10, 3, seed=43)
     assert not np.array_equal(a[0].values, c[0].values)
 
@@ -462,6 +403,17 @@ def test_sample_paths_rejects_keys_outside_63_bits(seed, n_paths, path_offset):
     with pytest.raises(DomainError):
         sample_paths(Lognormal(0.2), 3, n_paths, seed=seed,
                      path_offset=path_offset)
+
+
+@pytest.mark.parametrize("argument", ["n_steps", "n_paths", "seed",
+                                      "path_offset"])
+def test_sample_paths_rejects_non_integers(argument):
+    # seed=1.5 used to sample the paths of seed=1, since numpy truncates a
+    # fractional key word; a fractional count ended in a raw TypeError.
+    args = {"n_steps": 3, "n_paths": 2, "seed": 1, "path_offset": 0}
+    args[argument] += 0.5
+    with pytest.raises(DomainError, match=argument):
+        sample_paths(Lognormal(0.2), **args)
 
 
 def _paths_by_fresh_generators(model, n_steps, n_paths, seed, path_offset):

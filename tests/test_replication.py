@@ -1,8 +1,5 @@
-"""Static replication of convex payoffs and the variance-swap strip.
-
-The oracle throughout is the lognormal density itself: any payoff priced by
-the put/call strip must match direct Gaussian quadrature of the payoff.
-"""
+"""The log-contract strip, the variance-swap strike, and the discretely
+monitored variance-swap payoff."""
 
 from __future__ import annotations
 
@@ -10,19 +7,15 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smilewings.blackscholes import SmileCurve, call_price
+from smilewings.blackscholes import SmileCurve
 from smilewings.errors import DivergentWing, DomainError
-from smilewings.numerics import integrate
 from smilewings.replication import (
-    ConvexPayoff,
     PricePath,
     discrete_varswap_payoff,
     log_contract_strip,
-    replicate_convex,
     varswap_strip,
 )
 
@@ -32,115 +25,6 @@ SIGMA = 0.2
 @pytest.fixture(scope="module")
 def flat():
     return SmileCurve.flat(SIGMA)
-
-
-# ---------------------------------------------------------------------------
-# replicate_convex against closed forms
-
-
-def test_squared_error_payoff(flat):
-    pay = ConvexPayoff(f=lambda s: (s - 1.0) ** 2,
-                       f_prime=lambda s: 2.0 * (s - 1.0),
-                       second_derivative_density=lambda s: 2.0,
-                       pivot_x0=1.0)
-    v = replicate_convex(pay, flat, tol=1e-9)
-    assert math.isclose(v, math.expm1(SIGMA * SIGMA), rel_tol=1e-9)
-
-
-def test_log_contract_payoff(flat):
-    pay = ConvexPayoff(f=lambda s: -math.log(s),
-                       f_prime=lambda s: -1.0 / s,
-                       second_derivative_density=lambda s: 1.0 / (s * s),
-                       pivot_x0=1.0)
-    v = replicate_convex(pay, flat, tol=1e-9)
-    assert math.isclose(v, 0.5 * SIGMA * SIGMA, rel_tol=1e-8)
-
-
-@pytest.mark.parametrize("strike", [0.8, 1.2])
-def test_pure_kink_reproduces_call(flat, strike):
-    # A single slope atom is a call; the identity must hold through either
-    # the put side (strike below pivot) or the call side.
-    pay = ConvexPayoff(f=lambda s: max(s - strike, 0.0),
-                       f_prime=lambda s: 1.0 if s > strike else 0.0,
-                       second_derivative_density=lambda s: 0.0,
-                       pivot_x0=1.0, kinks=((strike, 1.0),))
-    v = replicate_convex(pay, flat, tol=1e-10)
-    assert math.isclose(v, call_price(math.log(strike), SIGMA),
-                        rel_tol=1e-12, abs_tol=1e-14)
-
-
-def _log_power_payoff(p: float) -> tuple[ConvexPayoff, float, float]:
-    """(-log s)^p continued by its constant past the convexity edge.
-
-    (-log s)^p is convex in s only while -log s >= 1 - p, i.e. up to
-    z_p = min(e^{p-1}, 1); freezing the payoff at its edge value keeps it
-    convex and continuous, at the cost of a slope kink for p < 1 (for
-    p = 1 the kink sits at s = 1 with unit jump, for p >= 2 the slope is
-    already continuous there).
-    """
-    zp = min(math.exp(p - 1.0), 1.0)
-    edge = max(1.0 - p, 0.0) ** p
-
-    def f(s: float) -> float:
-        return (-math.log(s)) ** p if s <= zp else edge
-
-    def f_prime(s: float) -> float:
-        return -p * (-math.log(s)) ** (p - 1.0) / s if s < zp else 0.0
-
-    def mu(s: float) -> float:
-        if s >= zp:
-            return 0.0
-        big_l = -math.log(s)
-        return p * big_l ** (p - 2.0) * ((p - 1.0) + big_l) / (s * s)
-
-    if p < 1.0:
-        jump = p * (1.0 - p) ** (p - 1.0) / zp
-    elif p == 1.0:
-        jump = 1.0
-    else:
-        jump = 0.0
-    kinks = ((zp, jump),) if jump > 0.0 else ()
-    pay = ConvexPayoff(f=f, f_prime=f_prime, second_derivative_density=mu,
-                       pivot_x0=1.0, kinks=kinks)
-    return pay, zp, edge
-
-
-@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
-def test_log_power_suite(flat, p):
-    pay, zp, edge = _log_power_payoff(p)
-    v = replicate_convex(pay, flat, tol=1e-9)
-    m = -0.5 * SIGMA * SIGMA
-    z_cut = (math.log(zp) - m) / SIGMA
-    body = integrate(
-        lambda z: (-(m + SIGMA * z)) ** p
-        * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
-        -math.inf, z_cut, tol=1e-11).value
-    oracle = body + edge * (1.0 - float(sp.ndtr(z_cut)))
-    assert abs(v - oracle) < 1e-10, (p, v, oracle)
-
-
-def test_kink_magnitude_pins():
-    _, zp, _ = _log_power_payoff(0.5)
-    assert math.isclose(zp, math.exp(-0.5), rel_tol=1e-15)
-    # jump = p (1-p)^{p-1} / z_p = sqrt(e/2) at p = 1/2
-    pay, _, _ = _log_power_payoff(0.5)
-    assert math.isclose(pay.kinks[0][1], math.sqrt(math.e / 2.0),
-                        rel_tol=1e-14)
-    pay, _, _ = _log_power_payoff(1.0)
-    assert pay.kinks == ((1.0, 1.0),)
-    pay, _, _ = _log_power_payoff(2.0)
-    assert pay.kinks == ()
-
-
-def test_convex_payoff_validation():
-    good = dict(f=lambda s: s, f_prime=lambda s: 1.0,
-                second_derivative_density=lambda s: 0.0)
-    with pytest.raises(DomainError):
-        ConvexPayoff(pivot_x0=0.0, **good)
-    with pytest.raises(DomainError):
-        ConvexPayoff(pivot_x0=1.0, kinks=((-0.5, 1.0),), **good)
-    with pytest.raises(DomainError):
-        ConvexPayoff(pivot_x0=1.0, kinks=((0.5, -1.0),), **good)
 
 
 # ---------------------------------------------------------------------------

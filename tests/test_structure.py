@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import smilewings
@@ -71,4 +72,40 @@ def test_no_writes_to_imported_objects():
     modules = sorted(PACKAGE_DIR.glob("*.py"))
     offenders = [hit for path in modules
                  for hit in _attribute_writes_to_imports(path)]
+    assert offenders == []
+
+
+def test_export_lists_resolve():
+    # A deleted name left in an __all__ breaks ``from smilewings import *``
+    # and nothing else, so nothing else would catch it.
+    exported = list(smilewings.__all__)
+    assert len(exported) == len(set(exported))
+    modules = [smilewings] + [
+        importlib.import_module(f"smilewings.{path.stem}")
+        for path in sorted(PACKAGE_DIR.glob("*.py")) if path.stem != "__init__"]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert missing == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} imports {name}, never used"
+            for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_module_imports():
+    # The package's own __init__ imports only to re-export.
+    modules = [path for path in sorted(PACKAGE_DIR.glob("*.py"))
+               if path.stem != "__init__"]
+    offenders = [hit for path in modules for hit in _unused_imports(path)]
     assert offenders == []

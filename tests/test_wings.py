@@ -12,54 +12,15 @@ from hypothesis import strategies as st
 from smilewings.blackscholes import SmileCurve, WingForm
 from smilewings.errors import DomainError, EmptyTail, NonPositiveVol
 from smilewings.wings import (
-    MomentIndices,
     WingReport,
     estimate_q,
     iv_wing_bound,
-    lee_beta_to_p,
     lee_bound_check,
-    lee_p_to_beta,
     log_moment_statistic,
     put_upper_bound,
     v_q,
     wing_expansion,
 )
-
-
-class TestSlopeMomentBijection:
-    def test_pins(self):
-        assert lee_p_to_beta(0.0) == 2.0
-        assert lee_p_to_beta(math.inf) == 0.0
-        assert math.isclose(lee_p_to_beta(1.0), 6.0 - 4.0 * math.sqrt(2.0),
-                            rel_tol=1e-15)
-        assert lee_beta_to_p(1.0) == 0.125
-        assert lee_beta_to_p(2.0) == 0.0
-
-    @given(st.floats(min_value=1e-6, max_value=1e6))
-    def test_round_trip(self, p):
-        # the inverse map divides by beta ~ 1/(2p), so round-trip error
-        # grows linearly in p; measured worst ~5e-10 at p = 1e6
-        assert math.isclose(lee_beta_to_p(lee_p_to_beta(p)), p,
-                            rel_tol=1e-12 + 2e-15 * p, abs_tol=1e-12)
-
-    def test_slope_decreases_with_moment_order(self):
-        betas = [lee_p_to_beta(p) for p in (0.0, 0.1, 1.0, 10.0, 1e4)]
-        assert all(b < a for a, b in zip(betas, betas[1:]))
-        assert all(0.0 < b <= 2.0 for b in betas)
-
-    def test_domains(self):
-        with pytest.raises(DomainError):
-            lee_p_to_beta(-0.1)
-        for beta in (0.0, -1.0, 2.5, math.nan):
-            with pytest.raises(DomainError):
-                lee_beta_to_p(beta)
-
-    def test_moment_indices_consistency(self):
-        MomentIndices(p=1.0, beta_L=lee_p_to_beta(1.0), q=2.0)
-        with pytest.raises(DomainError):
-            MomentIndices(p=1.0, beta_L=1.0, q=2.0)
-        with pytest.raises(DomainError):
-            MomentIndices(p=-1.0, beta_L=2.0, q=0.0)
 
 
 class TestBoundaryCheck:
