@@ -15,8 +15,10 @@ for x <= -120 (where only the log channel of the price is representable),
 the integral P(x) = int_{-inf}^x e^l F(l) dl of the cdf for -120 < x < -2,
 summed over Gauss-Legendre cells of a fixed lattice that every strike of a
 grid shares, Carr-Madan Fourier inversion of the call for -2 <= x <= 0.5,
-and a call by density quadrature above 0.5.  ``model_smile`` prices its
-whole grid in one call and warns about dropped points in grid order.
+and above 0.5 the call as an integral of the density, summed over the cells
+of a second lattice in one upward sweep that every strike shares.
+``model_smile`` prices its whole grid in one call and warns about dropped
+points in grid order.
 """
 
 from __future__ import annotations
@@ -317,29 +319,72 @@ def _fmls_call_cm(x: float, alpha: float, scale: float, tol: float) -> float:
     return math.exp(-eta * x) / math.pi * body
 
 
-def _fmls_call_density(x: float, alpha: float, scale: float, tol: float) -> float:
-    """Call by density quadrature; the right tail is thin enough that the
-    damped Fourier route's absolute noise floor swamps it beyond x ~ 0.5."""
-    dist = _fmls_dist(alpha, scale)
+# Right-wing cells: the same Gauss-Legendre rule on a finer lattice, swept
+# upward from the lowest strike.  The density's right tail falls by orders of
+# magnitude per tenth in l for alpha near 1, which cells of 0.5 miss by up to
+# 2e-8 relative at alpha = 1.1 (0.25 keeps within 1e-12).  A strike stops at
+# the first whole cell that adds at most _RIGHT_STOP of its running sum
+# (floored at _CALL_FLOOR), and a call below _CALL_FLOOR is refused: the
+# density is only good to an absolute ~1e-15ish, so a call that thin is
+# indistinguishable from its noise.
+_RIGHT_H = 0.25
+_RIGHT_STOP = 1e-17
+_CALL_FLOOR = 1e-13
+
+
+def _fmls_calls_right(xs: np.ndarray, alpha: float, scale: float) -> np.ndarray:
+    """Calls C(x) = int_x^hi (e^l - e^x) f(l) dl at the strikes xs, with
+    hi = max(mu + 60 scale, x + 5), from one upward sweep of the lattice
+    cells [j h, (j + 1) h].
+
+    Each strike sums its own partial cell [x, ceil(x/h) h] and then the
+    whole cells above it, until the stopping rule above or the cell that
+    reaches its hi.  A sweep step calls the density once, on the nodes of
+    the whole cell that every live strike shares and of the partial cells
+    of the strikes that join there.  The sums are ``math.fsum``, so a
+    strike's call depends on (x, alpha, scale) alone, not on the grid
+    around it.  The damped Fourier route's absolute noise floor swamps
+    this thin tail beyond x ~ 0.5.
+    """
     mu = _fmls_drift(alpha, scale)
-    hi = max(mu + 60.0 * scale, x + 5.0)
-    if hi > LOG_FLOAT_MAX:
+    his = np.maximum(mu + 60.0 * scale, xs + 5.0)
+    if np.any(his > LOG_FLOAT_MAX):
         raise Unsupported(f"FMLS scale {scale}: the density window ends at "
-                          f"{hi}, where e^x overflows")
-    ex = math.exp(x)
-
-    def leg(ell: float) -> float:
-        f = dist.pdf(ell)
-        return (math.exp(ell) - ex) * f if f > 0.0 else 0.0
-
-    val = quad(leg, x, hi, epsabs=0.0, epsrel=1e-11, limit=200)[0]
-    if val < 1e-13:
-        # The density itself is only good to absolute ~1e-15ish, so a call
-        # this thin is indistinguishable from quadrature noise; refusing it
-        # beats quoting a noise-level price with false confidence.
-        raise ToleranceNotReached(
-            f"call at x = {x} is below the density noise floor", value=val)
-    return val
+                          f"{his[his > LOG_FLOAT_MAX][0]}, where e^x overflows")
+    dist = _fmls_dist(alpha, scale)
+    u, w = _unit_legendre()
+    first = np.ceil(xs / _RIGHT_H)  # each strike's first whole cell
+    ex = np.exp(xs)
+    cell_sums: list[list[float]] = [[] for _ in range(xs.size)]
+    live = np.zeros(xs.size, dtype=bool)
+    j = first.min()
+    while True:
+        joining = np.nonzero(first == j)[0]
+        live[joining] = True
+        if not live.any():
+            ahead = first > j
+            if not ahead.any():
+                break
+            j = first[ahead].min()
+            continue
+        top = j * _RIGHT_H
+        lo = np.append(xs[joining], top)
+        width = np.append(top - xs[joining], _RIGHT_H)
+        ells = lo[:, None] + width[:, None] * u
+        nodes, where = np.unique(ells.ravel(), return_inverse=True)
+        f_vals = dist.pdf(nodes)[where].reshape(ells.shape)
+        weights = np.where(f_vals > 0.0, f_vals, 0.0) * (width[:, None] * w)
+        e_ells = np.exp(ells)
+        for row, i in enumerate(joining):
+            cell_sums[i].append(math.fsum((e_ells[row] - ex[i]) * weights[row]))
+        for i in np.nonzero(live)[0]:
+            add = math.fsum((e_ells[-1] - ex[i]) * weights[-1])
+            cell_sums[i].append(add)
+            if add <= _RIGHT_STOP * max(math.fsum(cell_sums[i]), _CALL_FLOOR) \
+                    or top + _RIGHT_H >= his[i]:
+                live[i] = False
+        j += 1.0
+    return np.array([math.fsum(sums) for sums in cell_sums])
 
 
 _CM_HI = 0.5
@@ -355,11 +400,9 @@ def _captured(price: Callable[..., NormalizedPutPrice], *args) -> PutOutcome:
         return exc
 
 
-def _fmls_put_near(x: float, alpha: float, scale: float,
-                   tol: float) -> NormalizedPutPrice:
-    """Put from the call by parity: Carr-Madan up to x = 0.5, density above."""
-    call = _fmls_call_cm if x <= _CM_HI else _fmls_call_density
-    c_val = call(x, alpha, scale, tol)
+def _put_by_parity(x: float, c_val: float) -> NormalizedPutPrice:
+    """Put from the call at x by parity; above the money the call is the
+    put's time value and becomes its log channel."""
     p = c_val - 1.0 + math.exp(x)
     if x > 0.0:
         if not c_val > 0.0:
@@ -372,19 +415,39 @@ def _fmls_put_near(x: float, alpha: float, scale: float,
     return NormalizedPutPrice(p)
 
 
+def _fmls_put_near(x: float, alpha: float, scale: float,
+                   tol: float) -> NormalizedPutPrice:
+    """Put from the call by parity: Carr-Madan up to x = 0.5."""
+    return _put_by_parity(x, _fmls_call_cm(x, alpha, scale, tol))
+
+
+def _fmls_put_right(x: float, c_val: float) -> NormalizedPutPrice:
+    """Put by parity from a swept call above x = 0.5, refused below the
+    density noise floor."""
+    if c_val < _CALL_FLOOR:
+        raise ToleranceNotReached(
+            f"call at x = {x} is below the density noise floor", value=c_val)
+    return _put_by_parity(x, c_val)
+
+
 def _fmls_put_points(xs: np.ndarray, alpha: float, scale: float,
                      tol: float) -> list[PutOutcome]:
-    """Price puts at all xs, batching the two wing regimes (log channel)."""
+    """Price puts at all xs, batching the two left-wing regimes (log
+    channel) and the right wing (one sweep of calls)."""
     out: list[PutOutcome | None] = [None] * xs.size
     mid = (xs > _MID_LO) & (xs < _CM_LO)
     deep = xs <= _MID_LO
+    right = xs > _CM_HI
     for mask, log_put in ((mid, _fmls_log_put_mid), (deep, _fmls_log_put_deep)):
         lps = log_put(xs[mask], alpha, scale) if np.any(mask) else ()
         for idx, lp in zip(np.nonzero(mask)[0], lps):
             p = math.exp(lp) if lp > -745.0 else 0.0
             out[idx] = NormalizedPutPrice(p, log_p=float(lp))
-    for idx in np.nonzero(~(mid | deep))[0]:
+    for idx in np.nonzero(~(mid | deep | right))[0]:
         out[idx] = _captured(_fmls_put_near, float(xs[idx]), alpha, scale, tol)
+    calls = _fmls_calls_right(xs[right], alpha, scale) if np.any(right) else ()
+    for idx, c_val in zip(np.nonzero(right)[0], calls):
+        out[idx] = _captured(_fmls_put_right, float(xs[idx]), float(c_val))
     return out  # type: ignore[return-value]
 
 
@@ -462,7 +525,12 @@ def model_smile(model: ModelSpec, x_grid, tol: float = 1e-10,
                 **smile_kwargs) -> SmileCurve:
     """Implied-vol smile on a grid; the certified moment order is recorded
     on the curve.  Points that fail to price or invert are dropped with a
-    warning, in grid order, rather than poisoning the whole curve."""
+    warning, in grid order, rather than poisoning the whole curve.
+
+    ``tol`` sets the Carr-Madan quadratures (FMLS, -2 <= x <= 0.5) and the
+    mixture's.  The FMLS lattice regimes (the mid wing below -2 and the
+    right wing above 0.5) and the deep series have a fixed accuracy and
+    ignore it; the lognormal price is closed-form."""
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if xs.ndim != 1 or xs.size == 0:
         raise DomainError("x_grid must be a nonempty 1-d array")

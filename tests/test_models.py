@@ -2,8 +2,8 @@
 the log-mixture, and the deterministic path sampler.
 
 The stable-law reference values below were cross-checked three ways when
-frozen: the damped-Fourier transform, Gauss-Laguerre convolution of the
-cdf, and direct density quadrature all agree on the shared digits.
+frozen: the damped-Fourier transform, the lattice-cell mid wing's integral
+of the cdf, and direct density quadrature all agree on the shared digits.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from smilewings.models import (
     LogMixture,
     Lognormal,
     _fmls_call_cm,
-    _fmls_call_density,
+    _fmls_calls_right,
     _fmls_dist,
     _fmls_drift,
     _fmls_log_put_deep,
@@ -109,7 +109,7 @@ def test_tail_series_against_reference_out_of_window():
 
 
 # Frozen reference log-puts for FMLS(1.5, 0.25); the x = 0 and x = -1 rows
-# come from the Fourier route, deeper rows from the Laguerre convolution.
+# come from the Fourier route, deeper rows from the lattice-cell mid wing.
 _LOG_PUT_PINS = [
     (0.0, -1.8526605702915173),
     (-1.0, -4.561184759718159),
@@ -153,11 +153,68 @@ def test_pricing_tiers_agree_at_their_seams():
         p_mid = math.exp(float(_fmls_log_put_mid(np.array([x]), ALPHA, SCALE)[0]))
         p_cm = _fmls_call_cm(x, ALPHA, SCALE, 1e-10) - 1.0 + math.exp(x)
         assert abs(p_cm / p_mid - 1.0) < 1e-9
-    # damped Fourier versus density quadrature across x = 0.5
-    for x in (0.4, 0.5):
+    # damped Fourier versus the right wing's lattice sweep across x = 0.5
+    xs = np.array([0.4, 0.5])
+    for x, c2 in zip(xs.tolist(), _fmls_calls_right(xs, ALPHA, SCALE)):
         c1 = _fmls_call_cm(x, ALPHA, SCALE, 1e-10)
-        c2 = _fmls_call_density(x, ALPHA, SCALE, 1e-10)
         assert abs(c1 / c2 - 1.0) < 1e-9
+
+
+def _call_by_quad(x, alpha, scale):
+    """The call C(x) = int_x^hi (e^l - e^x) f(l) dl as one adaptive
+    quadrature of the density per strike, on the sweep's window."""
+    dist = _fmls_dist(alpha, scale)
+    hi = max(_fmls_drift(alpha, scale) + 60.0 * scale, x + 5.0)
+    ex = math.exp(x)
+
+    def leg(ell):
+        f = float(dist.pdf(ell))
+        return (math.exp(ell) - ex) * f if f > 0.0 else 0.0
+
+    return quad(leg, x, hi, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.8, 1.95])
+def test_right_wing_sweep_matches_per_strike_quadrature(alpha):
+    # The lattice sweep against adaptive quadrature of the same integral:
+    # the same strikes refused under the 1e-13 noise floor, and the kept
+    # calls within 1e-11 relative.  Near alpha = 1 the density's right
+    # tail is steepest, which is what sets the cell width.
+    xs = np.array([0.51, 0.8, 1.0, 1.6, 2.2])
+    swept = _fmls_calls_right(xs, alpha, SCALE)
+    for x, got in zip(xs.tolist(), swept.tolist()):
+        want = _call_by_quad(x, alpha, SCALE)
+        assert (got < 1e-13) == (want < 1e-13), (x, got, want)
+        if want >= 1e-13:
+            assert abs(got / want - 1.0) < 1e-11, (x, got, want)
+
+
+def test_right_wing_price_does_not_depend_on_the_grid():
+    # Off-lattice strikes, priced alone and as one swept grid, for a model
+    # that keeps them all and for one that refuses 1.61.
+    grid = np.array([0.51, 0.77, 1.3, 1.61])
+    for model in (FMLS(1.8, SCALE), JUMP):
+        kept_x, kept_v = [], []
+        for x in grid.tolist():
+            try:
+                kept_v.append(implied_vol(x, model_put(model, x)))
+            except ToleranceNotReached:
+                continue
+            kept_x.append(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sm = model_smile(model, grid)
+        assert sm.x.tolist() == kept_x
+        assert sm.vol.tolist() == kept_v
+    assert kept_x == [0.51, 0.77, 1.3]
+
+
+def test_right_wing_window_past_float_range_is_unsupported():
+    # The window end x + 5 passes ln(DBL_MAX) although x itself does not.
+    with pytest.raises(Unsupported, match="density window"):
+        model_put(JUMP, 705.0)
+    with pytest.raises(Unsupported, match="density window"):
+        model_smile(JUMP, [0.0, 0.8, 705.0])
 
 
 def test_mid_and_deep_agree_where_the_reference_cdf_reads_zero():
@@ -197,8 +254,9 @@ def test_moment_dichotomy_proxy():
 
 
 def test_model_smile_matches_per_point_pricing():
-    # Several strikes in each FMLS regime (deep series, Laguerre, Carr-Madan,
-    # density call) and x = 2.5, which sits below the density noise floor.
+    # Several strikes in each FMLS regime (deep series, lattice-cell mid
+    # wing, Carr-Madan, right-wing sweep) and x = 2.5, which sits below the
+    # density noise floor.
     grid = np.array([-1000.0, -150.0, -120.0, -119.0, -12.0, -5.0, -2.5,
                      -2.0, -1.0, 0.0, 0.5, 0.8, 2.5])
     kept_x, kept_v = [], []
