@@ -52,8 +52,7 @@ def one_depth(depth: float, args, cfg) -> dict:
     strip_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    gf = gf_varswap(build_transform(sm, tol=pricing_tol),
-                    tol=pricing_tol, z_range=cfg.z_range)
+    gf = gf_varswap(build_transform(sm), tol=pricing_tol)
     gf_s = time.perf_counter() - t0
     return {"depth": depth, "knots": int(sm.x.size), "strip": strip,
             "gf": gf, "build_s": build_s, "strip_s": strip_s, "gf_s": gf_s}
@@ -71,10 +70,9 @@ def main(argv: list[str] | None = None) -> int:
                     default="corollary_expansion")
     ap.add_argument("--config", default=None)
     ap.add_argument("--tol", type=float, default=None)
-    ap.add_argument("--z-range", type=float, default=None, dest="z_range")
     ap.add_argument("--output", default=None, help="write a json report here")
     args = ap.parse_args(argv)
-    cfg = resolve_config(args.config, tol=args.tol, z_range=args.z_range)
+    cfg = resolve_config(args.config, tol=args.tol)
 
     oracle = -2.0 * fmls_mean_log_oracle(args.alpha, args.scale)
     print(f"alpha={args.alpha:g} scale={args.scale:g} wing={args.wing}; "

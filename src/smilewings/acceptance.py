@@ -164,7 +164,7 @@ def check_flat_varswap(cfg: RunConfig, tol: float | None = None) -> _Outcome:
     for s in (0.1, 0.2, 0.5):
         sm = flat_smile(s)
         strip = varswap_strip(sm, tol=1e-9)
-        gf = gf_varswap(transform_of(sm), tol=1e-9, z_range=cfg.z_range)
+        gf = gf_varswap(transform_of(sm), tol=1e-9)
         e1, e2 = abs(strip - s * s), abs(gf - s * s)
         worst = max(worst, e1, e2)
         lines.append(f"sigma={s:g}: strip err {e1:.2e}, gf err {e2:.2e}")
@@ -182,7 +182,7 @@ def check_levy_varswap_routes(cfg: RunConfig,
     tol = 1e-4 if tol is None else tol
     sm = deep_fmls_smile()
     strip2 = 2.0 * log_contract_strip(sm, tol=1e-7)
-    gf = gf_varswap(transform_of(sm), tol=1e-7, z_range=cfg.z_range)
+    gf = gf_varswap(transform_of(sm), tol=1e-7)
     oracle = -2.0 * fmls_mean_log_oracle(1.5, 0.25)
     e_routes = abs(gf - strip2)
     e_strip = abs(strip2 - oracle)
@@ -294,14 +294,14 @@ def check_gf_payoff_routes(cfg: RunConfig,
     jump = transform_of(moderate_fmls_smile())
     parts: list[tuple[str, float, float]] = []  # (label, err, tol)
 
-    v_sq = price_psi_c2(_psi_square(), flat, tol=1e-9, z_range=cfg.z_range)
+    v_sq = price_psi_c2(_psi_square(), flat, tol=1e-9)
     target = 0.04 + 0.04 * 0.04 / 4.0
     parts.append(("x^2 flat", abs(v_sq - target), 1e-8 if tol is None else tol))
 
     ident = _psi_identity()
     for label, ts in (("flat", flat), ("fmls", jump)):
-        c2 = price_psi_c2(ident, ts, tol=1e-9, z_range=cfg.z_range)
-        ac = price_psi_ac(ident, ts, tol=1e-9, z_range=cfg.z_range)
+        c2 = price_psi_c2(ident, ts, tol=1e-9)
+        ac = price_psi_ac(ident, ts, tol=1e-9)
         parts.append((f"route gap {label}", abs(ac - c2),
                       1e-8 if tol is None else tol))
 
@@ -310,7 +310,7 @@ def check_gf_payoff_routes(cfg: RunConfig,
     oracle = integrate(
         lambda z: (m + sigma * z + 0.5) * math.exp(-0.5 * z * z) / _SQRT_2PI,
         zk, math.inf, tol=1e-10).value
-    v_hinge = price_psi_ac(_psi_hinge(), flat, tol=1e-9, z_range=cfg.z_range)
+    v_hinge = price_psi_ac(_psi_hinge(), flat, tol=1e-9)
     parts.append(("hinge vs quadrature", abs(v_hinge - oracle),
                   1e-6 if tol is None else tol))
 

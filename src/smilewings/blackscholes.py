@@ -20,7 +20,6 @@ from typing import Iterable, Literal
 import numpy as np
 from numpy.typing import NDArray
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -247,8 +246,12 @@ def implied_vol(x: float, price: float | NormalizedPutPrice) -> float:
 
 def _log_abs(x):
     # numpy for arrays, libm for scalars: the two logs can differ in the
-    # last bit, and each caller keeps the one it has always used.
-    return np.log(-x) if isinstance(x, np.ndarray) else math.log(-x)
+    # last bit, and each caller keeps the one it has always used.  The cap
+    # log(DBL_MAX) moves no finite x; at x = -inf the wing then reads its
+    # limits I = +inf and I' = 0 instead of inf - inf.
+    if isinstance(x, np.ndarray):
+        return np.minimum(np.log(-x), LOG_FLOAT_MAX)
+    return min(math.log(-x), LOG_FLOAT_MAX)
 
 
 @dataclass(frozen=True)
@@ -259,8 +262,7 @@ class WingForm:
 
     with the squared distance written in u = log|x| as ``d2(u)``.  Values
     and derivatives take a float or an array.  On the wing the transform
-    maps read f(x) = -d and h(x) = f(x) - I(x) = -sqrt(d^2 - 2x), which
-    :meth:`log_f_inv` and :meth:`h_inv` invert.
+    map reads f(x) = -d, which :meth:`log_f_inv` inverts in closed form.
     """
 
     q: float
@@ -300,23 +302,6 @@ class WingForm:
         with np.errstate(divide="ignore"):
             da = np.where(a > 0.0, self.q / (x * a), 0.0)
         return (self.q / x - 1.0) / np.sqrt(a2 - 2.0 * x) - da
-
-    def h_inv(self, z: float) -> float:
-        """The x < 0 with h(x) = z: solves d2(log u) + 2u = z^2 for u = |x|."""
-        target = z * z
-
-        def bal(u: float) -> float:
-            return self.d2(math.log(u)) + 2.0 * u - target
-
-        hi = 0.5 * max(target - self.c, 2.0) + 1.0
-        lo = hi
-        while bal(lo) > 0.0:
-            lo *= 0.5
-            if lo < 1e-300:
-                raise DomainError(f"h_inv bracketing failed at z = {z}")
-        while bal(hi) < 0.0:
-            hi *= 2.0
-        return -brentq(bal, lo, hi, xtol=1e-13, rtol=8.9e-16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,11 +428,37 @@ class SmileCurve:
             z *= s
         return res
 
+    @cached_property
+    def _coefs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cell table's value and derivative coefficients, a row per cell."""
+        cells = self._table[2]
+        return np.array([c[0] for c in cells]), np.array([c[1] for c in cells])
+
+    def _at_array(self, xs: np.ndarray, want_deriv: bool) -> np.ndarray:
+        """:meth:`_at` over a 1-d array, bit for bit: the same cell and the
+        same sums, taken a coefficient column at a time."""
+        knots, vols, cells = self._table
+        left, right = xs < knots[0], xs > knots[-1]
+        inner = ~(left | right)
+        i = np.minimum(np.searchsorted(self.x, xs[inner], side="right"),
+                       len(cells)) - 1
+        s = xs[inner] - self.x[i]
+        res, z = 0.0, 1.0
+        for c in self._coefs[want_deriv][i].T:
+            res, z = res + c * z, z * s
+        out = np.full_like(xs, 0.0 if want_deriv else vols[-1])
+        out[inner] = res
+        if self.wing is None:
+            out[left] = 0.0 if want_deriv else vols[0]
+        elif left.any():
+            form = self.wing.derivative if want_deriv else self.wing.vol
+            out[left] = form(xs[left])
+        return out
+
     def _eval(self, at, want_deriv: bool):
         if not isinstance(at, float) and np.ndim(at):
             arr = np.asarray(at, dtype=float)
-            vals = [self._at(v, want_deriv) for v in arr.ravel().tolist()]
-            return np.array(vals, dtype=float).reshape(arr.shape)
+            return self._at_array(arr.ravel(), want_deriv).reshape(arr.shape)
         return self._at(float(at), want_deriv)
 
     def __call__(self, at):

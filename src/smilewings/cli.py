@@ -121,8 +121,8 @@ def cmd_varswap(args, cfg: RunConfig) -> int:
     if args.method in ("strip", "both"):
         doc["strip"] = varswap_strip(smile, tol=cfg.tol)
     if args.method in ("gf", "both"):
-        ts = build_transform(smile, tol=cfg.tol)
-        doc["gf"] = gf_varswap(ts, tol=cfg.tol, z_range=cfg.z_range)
+        ts = build_transform(smile)
+        doc["gf"] = gf_varswap(ts, tol=cfg.tol)
     if args.method == "both":
         doc["discrepancy"] = abs(doc["strip"] - doc["gf"])  # type: ignore[operator]
     with _open_out(args.output) as fh:
@@ -228,8 +228,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, help="simulation seed")
     common.add_argument("--q-ceiling", type=float, dest="q_ceiling",
                         help="cap for tail-index estimates")
-    common.add_argument("--z-range", type=float, dest="z_range",
-                        help="half-width of the transform-space window")
     common.add_argument("--output", default="-", metavar="PATH",
                         help="output path ('-' = stdout)")
 
@@ -294,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         cfg = resolve_config(args.config, tol=args.tol, seed=args.seed,
-                             q_ceiling=args.q_ceiling, z_range=args.z_range,
+                             q_ceiling=args.q_ceiling,
                              output_format=getattr(args, "output_format", None))
         return args.func(args, cfg)
     except (FileFormatError, OSError) as exc:

@@ -18,7 +18,6 @@ class RunConfig:
     tol: float = 1e-8
     q_ceiling: float = 1e3
     seed: int = 42
-    z_range: float = 12.0
     output_format: Literal["json", "csv"] = "json"
 
     def __post_init__(self) -> None:
@@ -30,8 +29,6 @@ class RunConfig:
         if not 0 <= self.seed < 2**63:
             # The seed is a Philox key word; numpy reads it as a 64-bit int.
             raise DomainError(f"seed must lie in [0, 2**63), got {self.seed}")
-        if not self.z_range > 0.0:
-            raise DomainError(f"z_range must be > 0, got {self.z_range}")
         if self.output_format not in ("json", "csv"):
             raise DomainError(f"output_format must be json or csv, got {self.output_format!r}")
 
@@ -45,7 +42,6 @@ _PARSERS = {
     "tol": float,
     "q_ceiling": float,
     "seed": int,
-    "z_range": float,
     "output_format": str,
 }
 

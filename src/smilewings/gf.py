@@ -1,16 +1,20 @@
 """Pricing generalized payoffs of log S_T straight off the smile.
 
-The smile is pushed through the monotone change of variable z = f(x) =
-x/I(x) + I(x)/2 (minus the usual d2); under it the pricing measure of z is
-standard Gaussian, so expectations become one-dimensional phi-weighted
-integrals of smile-composed integrands.  A second map h(x) = f(x) - I(x)
-carries the e^{-x}-weighted piece of the absolutely-continuous route.
+Under z = f(x) = x/I(x) + I(x)/2 (minus the usual d2) the pricing law of z
+is standard Gaussian, so E[psi(log S_T)] is the phi-weighted integral of
+psi(f^-1(z)) (Fukasawa 2012).  With z = f(x) substituted back and
+f' = 1/I + I'(1/2 - x/I^2), each route is one integral of phi(f(x)) g(x) dx
+over the smile's own cells [x_k, x_k+1], where the interpolant is smooth:
 
-Everything here takes a TransformedSmile: f, h and their inverses are built
-once (one inversion routine serves both maps: the affine inverse on a
-clamped side, the wing's own inverse past a corollary wing, a bracketed
-root on the grid) and shared by every pricing call.  Both payoff routes
-integrate their phi-weighted z-space piece through one z-leg, ``_f_leg``.
+- the variance swap (Gatheral-Fukasawa): g = I^2 f';
+- twice-differentiable psi: g = (psi - psi' I f) f' + psi'' I;
+- absolutely continuous psi: g = psi f' - psi' I', integration by parts
+  with its h = f - I leg folded in, since e^{-x} phi(h(x)) = phi(f(x)).
+
+Payoff kinks are extra cell edges.  Past the grid, a clamped side is
+integrated in z through the affine f^-1(z) = sigma z - sigma^2/2 (in
+closed form for the variance swap), and a corollary left wing through its
+own closed forms, in z or in u = log|x|.
 """
 
 from __future__ import annotations
@@ -22,12 +26,10 @@ from typing import Callable, Literal
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from .blackscholes import SmileCurve, f_transform
-from .errors import (DomainError, GrowthViolation, NotMonotone,
-                     ToleranceNotReached)
-from .numerics import LOG_SQRT_2PI, integrate
+from .errors import DomainError, GrowthViolation, NotMonotone
+from .numerics import LOG_SQRT_2PI, integrate, integrate_cells
 
 __all__ = [
     "PayoffSpec",
@@ -42,13 +44,8 @@ __all__ = [
 # integrands short-circuit before evaluating possibly huge payoff values.
 _Z_DEAD = 38.5
 
-
 def _phi(z: float) -> float:
     return math.exp(-0.5 * z * z - LOG_SQRT_2PI) if abs(z) < _Z_DEAD else 0.0
-
-
-def _ndtr(z: float) -> float:
-    return float(special.ndtr(z))
 
 
 @dataclass(frozen=True)
@@ -58,8 +55,7 @@ class PayoffSpec:
     ``growth_order_q`` declares the polynomial order of psi in the left
     wing; it is compared against the smile's certified moment order before
     pricing.  ``kinks`` lists x-locations where psi_prime jumps -- the
-    absolutely-continuous route passes their images to the quadrature as
-    known awkward points.
+    absolutely-continuous route makes them cell edges of its quadrature.
     """
 
     psi: Callable[[float], float]
@@ -81,30 +77,21 @@ class PayoffSpec:
 
 @dataclass(frozen=True, eq=False)
 class TransformedSmile:
-    """A smile with its normalizing maps f(x) = x/I + I/2 and h(x) = f(x) - I
-    and their inverses, built eagerly and immutable afterwards."""
+    """A smile whose normalizing map f(x) = x/I + I/2 and its companion
+    f - I were checked to increase."""
 
     smile: SmileCurve
     f_of: Callable[[float], float]
-    h_of: Callable[[float], float]
-    f_inv: Callable[[float], float]
-    h_inv: Callable[[float], float]
-
-
-def _dense_grid(smile: SmileCurve) -> np.ndarray:
-    xs = smile.x
-    if xs.size == 1:
-        x0 = float(xs[0])
-        return np.array([x0 - 1.0, x0, x0 + 1.0])
-    cells = [np.linspace(xs[i], xs[i + 1], 5) for i in range(xs.size - 1)]
-    return np.unique(np.concatenate(cells))
 
 
 def build_transform(smile: SmileCurve, tol: float = 1e-8) -> TransformedSmile:
-    """Check monotonicity of f and f - I on a refined grid, then build the
-    cached inverse maps.  A reversal of f is a static-arbitrage symptom and
-    raises NotMonotone with the offending interval."""
-    dense = _dense_grid(smile)
+    """Check monotonicity of f and f - I on a refined grid.  A reversal of
+    f is a static-arbitrage symptom and raises NotMonotone with the
+    offending interval.  ``tol`` is accepted for callers that pass one: no
+    inverse map is built, so there is nothing left for it to certify."""
+    xs = smile.x
+    dense = (xs[0] + np.array([-1.0, 0.0, 1.0]) if xs.size == 1 else np.unique(
+        np.concatenate([np.linspace(a, b, 5) for a, b in zip(xs[:-1], xs[1:])])))
     iv_dense = np.atleast_1d(smile(dense))
     f_dense = dense / iv_dense + 0.5 * iv_dense
     h_dense = f_dense - iv_dense
@@ -121,43 +108,7 @@ def build_transform(smile: SmileCurve, tol: float = 1e-8) -> TransformedSmile:
         x0 = float(smile.x[0])
         raise NotMonotone(f"f is constant on the q = 0 left wing below x = {x0:.6g}",
                           interval=(-math.inf, x0))
-
-    sig_lo = float(iv_dense[0])
-    sig_hi = float(iv_dense[-1])
-
-    def f_of(x: float) -> float:
-        return float(f_transform(x, smile))
-
-    def h_of(x: float) -> float:
-        return f_of(x) - float(smile(x))
-
-    def inverse(of: Callable[[float], float], vals: np.ndarray, half: float,
-                wing_inv: Callable[[float], float]) -> Callable[[float], float]:
-        # On a clamped side of(x) = x/sigma - half*sigma, so x = sigma*z + half*sigma^2.
-        def inv(z: float) -> float:
-            if z <= vals[0]:
-                if wing is not None:
-                    return wing_inv(z)
-                return sig_lo * z + half * sig_lo * sig_lo
-            if z >= vals[-1]:
-                return sig_hi * z + half * sig_hi * sig_hi
-            i = int(np.searchsorted(vals, z))
-            return brentq(lambda x: of(x) - z, float(dense[i - 1]),
-                          float(dense[i]), xtol=1e-12, rtol=8.9e-16)
-        return inv
-
-    f_inv = inverse(f_of, f_dense, -0.5,
-                    lambda z: -math.exp(min(wing.log_f_inv(z), 709.0)))
-    h_inv = inverse(h_of, h_dense, 0.5, lambda z: wing.h_inv(z))
-
-    sample = dense[:: max(1, dense.size // 32)]
-    for x in sample:
-        x = float(x)
-        err = abs(f_inv(f_of(x)) - x)
-        if not err < tol * (1.0 + abs(x)):
-            raise ToleranceNotReached(
-                f"f_inv round-trip off by {err:.3g} at x = {x:.6g}", value=err)
-    return TransformedSmile(smile, f_of, h_of, f_inv, h_inv)
+    return TransformedSmile(smile, lambda x: float(f_transform(x, smile)))
 
 
 def _check_growth(payoff: PayoffSpec, smile: SmileCurve) -> None:
@@ -179,71 +130,117 @@ def _check_growth(payoff: PayoffSpec, smile: SmileCurve) -> None:
             stacklevel=3)
 
 
-def _z_window(ts: TransformedSmile, z_range: float) -> tuple[float, float]:
-    z_lo = max(-z_range, ts.f_of(float(ts.smile.x[0])))
-    z_hi = min(z_range, ts.f_of(float(ts.smile.x[-1])))
-    return z_lo, z_hi
+def _cells(smile: SmileCurve, g: Callable, tol: float,
+           kinks: tuple[float, ...] = ()) -> float:
+    """The integral of g(x, I, I', f, f') phi(f) over the grid [x_0, x_n]:
+    a quadrature cell per knot interval, split at the kinks inside the grid
+    and bisected until f maps it onto at most a unit of |z| < _Z_DEAD, so
+    that no cell holds the Gaussian between two nodes.  g sees only the
+    points where phi(f) > 0."""
+    xs = smile.x
+    if xs.size == 1:
+        return 0.0
+    edges = np.unique(np.concatenate([xs, [k for k in kinks if xs[0] < k < xs[-1]]]))
+    for _ in range(64):
+        iv = smile(edges)
+        wide = np.diff(np.clip(edges / iv + 0.5 * iv, -_Z_DEAD, _Z_DEAD)) > 1.0
+        if not wide.any():
+            break
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])[wide]]))
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        iv = smile(x)
+        div = smile.derivative(x)
+        z = x / iv + 0.5 * iv
+        dz = 1.0 / iv + div * (0.5 - x / (iv * iv))
+        w = np.exp(-0.5 * z * z - LOG_SQRT_2PI)
+        live = w > 0.0
+        out = np.zeros_like(x)
+        out[live] = g(x[live], iv[live], div[live], z[live],
+                      dz[live]) * w[live]
+        return out
+
+    return integrate_cells(integrand, edges, tol=tol).value
 
 
-def _f_leg(ts: TransformedSmile, z_range: float, share: float,
-           points: list[float], body: Callable[[float, float], float]) -> float:
-    """Integral of body(x, z) * phi(z) dz with x = f_inv(z): the grid window
-    (break points ``points``), then the two open tails, each at tol ``share``."""
+def _z_leg(x_of: Callable[[float], float], body: Callable[[float, float], float],
+           lo: float, hi: float, tol: float) -> float:
+    """The integral of body(x, z) phi(z) dz over [lo, hi] past the grid,
+    where x = x_of(z) is f^-1 in closed form."""
 
     def leg(z: float) -> float:
         w = _phi(z)
-        if w == 0.0:
+        return body(x_of(z), z) * w if w > 0.0 else 0.0
+
+    return integrate(leg, lo, hi, tol=tol).value
+
+
+def _past_grid(ts: TransformedSmile, clamped_body: Callable, wing_body: Callable,
+               wing_u: Callable[[float, float], float], share: float) -> float:
+    """Both sides past the grid, each leg at tol ``share``: a clamped side in
+    z, with body clamped_body(sigma); a corollary wing as the z-leg of
+    wing_body plus the integral of wing_u(d^2, |x|) phi(f) |x| du over
+    u = log|x|, where phi(f) = phi(d) is assembled in log space."""
+    smile = ts.smile
+    x0, xn = float(smile.x[0]), float(smile.x[-1])
+
+    def clamped(sigma: float, lo: float, hi: float) -> float:
+        # There f(x) = x/sigma + sigma/2.
+        return _z_leg(lambda z: sigma * z - 0.5 * sigma * sigma,
+                      clamped_body(sigma), lo, hi, share)
+
+    val = clamped(float(smile.vol[-1]), ts.f_of(xn), math.inf)
+    wing = smile.wing
+    if wing is None:
+        return val + clamped(float(smile.vol[0]), -math.inf, ts.f_of(x0))
+    val += _z_leg(lambda z: -math.exp(min(wing.log_f_inv(z), 709.0)),
+                  wing_body, -math.inf, ts.f_of(x0), share)
+
+    def u_leg(u: float) -> float:
+        a2 = wing.d2(u)
+        lphi = -0.5 * a2 - LOG_SQRT_2PI
+        if lphi < -745.0:
             return 0.0
-        return body(ts.f_inv(z), z) * w
+        eu = math.exp(u)
+        return wing_u(a2, eu) * math.exp(lphi) * eu
 
-    z_lo, z_hi = _z_window(ts, z_range)
-    val = integrate(leg, z_lo, z_hi, tol=share, points=points).value
-    val += integrate(leg, -math.inf, z_lo, tol=share).value
-    val += integrate(leg, z_hi, math.inf, tol=share).value
-    return val
+    return val + integrate(u_leg, math.log(-x0), 709.0, tol=share).value
 
 
-def gf_varswap(ts: TransformedSmile, tol: float = 1e-8,
-               z_range: float = 12.0) -> float:
-    """-2 E[log S_T] as the Gaussian-weighted integral of I(f_inv(z))^2.
+def _array_of(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    return np.array([fn(v) for v in x.tolist()], dtype=float)
 
-    Wing remainders: the clamped sides contribute sigma^2 * Phi exactly;
+
+def gf_varswap(ts: TransformedSmile, tol: float = 1e-8) -> float:
+    """-2 E[log S_T] = int I(f^-1(z))^2 phi(z) dz, in x over the grid's
+    cells.  Past the grid a clamped side contributes sigma^2 * Phi exactly;
     a power-law left wing is integrated in z-space with a log-domain guard
     where |x(z)| overflows."""
     smile = ts.smile
-    z_lo, z_hi = _z_window(ts, z_range)
+    val = _cells(smile, lambda x, iv, div, z, dz: iv * iv * dz, 0.5 * tol)
+    sig_lo, sig_hi = float(smile.vol[0]), float(smile.vol[-1])
+    val += sig_hi * sig_hi * float(special.ndtr(-ts.f_of(float(smile.x[-1]))))
+    z_edge, wing = ts.f_of(float(smile.x[0])), smile.wing
+    if wing is None:
+        return val + sig_lo * sig_lo * float(special.ndtr(z_edge))
 
-    def inner(z: float) -> float:
-        iv = float(smile(ts.f_inv(z)))
+    def far(z: float) -> float:
+        t = wing.log_f_inv(z)
+        if t > 500.0:
+            li = math.log(2.0) + t - 0.5 * z * z - LOG_SQRT_2PI
+            return math.exp(li) if li > -745.0 else 0.0
+        big_x = math.exp(t)
+        iv = math.sqrt(z * z + 2.0 * big_x) - abs(z)
         return iv * iv * _phi(z)
 
-    val = integrate(inner, z_lo, z_hi, tol=0.5 * tol).value
-    iv_hi = float(smile(ts.f_inv(z_hi)))
-    val += iv_hi * iv_hi * _ndtr(-z_hi)
-
-    grid_edge = ts.f_of(float(smile.x[0]))
-    wing = smile.wing
-    if wing is None or z_lo > grid_edge:
-        iv_lo = float(smile(ts.f_inv(z_lo)))
-        val += iv_lo * iv_lo * _ndtr(z_lo)
-    else:
-        def far(z: float) -> float:
-            t = wing.log_f_inv(z)
-            if t > 500.0:
-                li = math.log(2.0) + t - 0.5 * z * z - LOG_SQRT_2PI
-                return math.exp(li) if li > -745.0 else 0.0
-            big_x = math.exp(t)
-            iv = math.sqrt(z * z + 2.0 * big_x) - abs(z)
-            return iv * iv * _phi(z)
-
-        val += integrate(far, -math.inf, z_lo, tol=0.5 * tol).value
-    return val
+    return val + integrate(far, -math.inf, z_edge, tol=0.5 * tol).value
 
 
-def price_psi_c2(payoff: PayoffSpec, ts: TransformedSmile, tol: float = 1e-8,
-                 z_range: float = 12.0) -> float:
-    """E[psi(log S_T)] for twice-differentiable psi: a z-space bracket term
-    plus the psi''-weighted x-space smile integral."""
+def price_psi_c2(payoff: PayoffSpec, ts: TransformedSmile,
+                 tol: float = 1e-8) -> float:
+    """E[psi(log S_T)] for twice-differentiable psi: the grid in x, each
+    clamped side in z, and a corollary wing as a z-space bracket term plus
+    the psi''-weighted smile integral in u = log|x|."""
     if payoff.smoothness != "twice-differentiable":
         raise DomainError("price_psi_c2 needs a twice-differentiable payoff")
     if payoff.psi_double_prime is None:
@@ -251,123 +248,53 @@ def price_psi_c2(payoff: PayoffSpec, ts: TransformedSmile, tol: float = 1e-8,
     smile = ts.smile
     _check_growth(payoff, smile)
     psi, dpsi, d2psi = payoff.psi, payoff.psi_prime, payoff.psi_double_prime
-    share = tol / 6.0
+
+    def grid(x, iv, div, z, dz):
+        return ((_array_of(psi, x) - _array_of(dpsi, x) * iv * z) * dz
+                + _array_of(d2psi, x) * iv)
+
+    def clamped_body(sigma: float) -> Callable[[float, float], float]:
+        # g phi(f) dx with I = sigma, f' = 1/sigma and dx = sigma dz.
+        return lambda x, z: (psi(x) - dpsi(x) * sigma * z
+                             + d2psi(x) * sigma * sigma)
 
     def zbody(x: float, z: float) -> float:
         # x + I^2/2 = z I exactly (that is what f(x) = z says), which
         # sidesteps the huge-|x| cancellation out on the wing.
         return psi(x) - dpsi(x) * float(smile(x)) * z
 
-    # Knot images ride along as break points: the interpolant's curvature
-    # jumps there and cell-aligned panels settle far below a blind split.
-    z_knots = [ts.f_of(float(xk)) for xk in smile.x]
-    val = _f_leg(ts, z_range, share, z_knots, zbody)
+    def wing_u(a2: float, ex: float) -> float:
+        # psi'' I on the wing, with I = sqrt(d^2 - 2x) - d.
+        return d2psi(-ex) * (math.sqrt(a2 + 2.0 * ex) - math.sqrt(a2))
 
-    def xleg(x: float) -> float:
-        w = _phi(ts.f_of(x))
-        return d2psi(x) * float(smile(x)) * w if w > 0.0 else 0.0
-
-    x0, xn = float(smile.x[0]), float(smile.x[-1])
-    val += integrate(xleg, x0, xn, tol=share,
-                     points=smile.x.tolist()).value
-    val += integrate(xleg, xn, math.inf, tol=share).value
-    wing = smile.wing
-    if wing is None:
-        val += integrate(xleg, -math.inf, x0, tol=share).value
-    else:
-        def xleg_far(u: float) -> float:
-            a2 = wing.d2(u)
-            lphi = -0.5 * a2 - LOG_SQRT_2PI
-            if lphi < -745.0:
-                return 0.0
-            ex = math.exp(u)
-            iv = math.sqrt(a2 + 2.0 * ex) - math.sqrt(a2)
-            return d2psi(-ex) * iv * math.exp(lphi) * ex
-
-        val += integrate(xleg_far, math.log(-x0), 709.0, tol=share).value
-    return val
+    share = tol / 4.0
+    return (_cells(smile, grid, share)
+            + _past_grid(ts, clamped_body, zbody, wing_u, share))
 
 
-def price_psi_ac(payoff: PayoffSpec, ts: TransformedSmile, tol: float = 1e-8,
-                 z_range: float = 12.0) -> float:
-    """E[psi(log S_T)] for absolutely continuous psi: one z-space integral
-    mixing the f- and h-maps; only psi and psi' are needed, so slope kinks
-    are fine (their images are handed to the quadrature as split points).
+def price_psi_ac(payoff: PayoffSpec, ts: TransformedSmile,
+                 tol: float = 1e-8) -> float:
+    """E[psi(log S_T)] for absolutely continuous psi: only psi and psi' are
+    needed, so slope kinks are fine (they are cell edges on the grid).
 
-    The e^{-h} piece fights the Gaussian weight on the left, so its far
-    tail is integrated in u = log|x| where the true (typically power-law)
-    decay is explicit.
+    On a corollary wing the route splits as integration by parts does:
+    (psi - psi') over the f-map in z, and the e^{-h}-weighted psi' in
+    u = log|x|, where the wing's power-law decay is explicit.
     """
     smile = ts.smile
     _check_growth(payoff, smile)
     psi, dpsi = payoff.psi, payoff.psi_prime
-    share = tol / 6.0
 
-    # Break points: payoff kink images plus knot images (the interpolant's
-    # curvature jumps at the latter).
-    f_points = ([ts.f_of(k) for k in payoff.kinks]
-                + [ts.f_of(float(xk)) for xk in smile.x])
-    val = _f_leg(ts, z_range, share, f_points, lambda x, z: psi(x) - dpsi(x))
+    def grid(x, iv, div, z, dz):
+        return _array_of(psi, x) * dz - _array_of(dpsi, x) * div
 
-    def hleg(z: float) -> float:
-        w = _phi(z)
-        if w == 0.0:
-            return 0.0
-        x = ts.h_inv(z)
-        return dpsi(x) * math.exp(-x) * w
+    def wing_u(a2: float, eu: float) -> float:
+        # psi' h' e^{-x} phi(h) = psi' h' phi(f) on the wing, where
+        # h = -sqrt(d^2 - 2x) and so h' = (q/|x| + 1)/sqrt(d^2 - 2x).
+        return dpsi(-eu) * (smile.wing.q / eu + 1.0) / math.sqrt(a2 + 2.0 * eu)
 
-    zh_hi = min(z_range, ts.h_of(float(smile.x[-1])))
-    h_points = ([ts.h_of(k) for k in payoff.kinks]
-                + [ts.h_of(float(xk)) for xk in smile.x])
-    val += integrate(hleg, -z_range, zh_hi, tol=share, points=h_points).value
-    val += integrate(hleg, zh_hi, math.inf, tol=share).value
-
-    # far-left e^{-h} tail, in u = log|x|: z = h(-e^u), dz = h'(x) x du (sign
-    # absorbed), with the exponent assembled in log space first.
-    x_cut = ts.h_inv(-z_range)
-    if not x_cut < 0.0:
-        raise DomainError("z_range too small: h_inv(-z_range) must be < 0")
-
-    def hleg_far(u: float) -> float:
-        ex = math.exp(u)
-        x = -ex
-        iv = float(smile(x))
-        gz = x / iv - 0.5 * iv
-        lead = ex - 0.5 * gz * gz - LOG_SQRT_2PI
-        if lead < -745.0:
-            return 0.0
-        ivp = float(smile.derivative(x))
-        gp = 1.0 / iv - x * ivp / (iv * iv) - 0.5 * ivp
-        return dpsi(x) * math.exp(lead) * gp * ex
-
-    u_cut = math.log(-x_cut)
-    u_knots = [math.log(-float(xk)) for xk in smile.x if xk < 0.0]
-    wing = smile.wing
-    if wing is None:
-        val += integrate(hleg_far, u_cut, 709.0, tol=share,
-                         points=u_knots).value
-        return val
-
-    # On the wing the e^{-x} and phi(h) exponents cancel exactly (h = -B,
-    # B^2 = A^2 - 2x), leaving a bare power law; the float path above loses
-    # that cancellation once |x| outgrows the double grid.
-    u_edge = math.log(-float(smile.x[0]))
-
-    def hleg_far_wing(u: float) -> float:
-        a2 = wing.d2(u)
-        lead = -0.5 * a2 - LOG_SQRT_2PI
-        if lead < -745.0:
-            return 0.0
-        eu = math.exp(u)
-        gp = (wing.q / eu + 1.0) / math.sqrt(a2 + 2.0 * eu)
-        return dpsi(-eu) * math.exp(lead) * gp * eu
-
-    if u_cut < u_edge:
-        # Two far pieces where the other routes run one: half a share each
-        # keeps the seven tols summing to tol.
-        val += integrate(hleg_far, u_cut, u_edge, tol=0.5 * share,
-                         points=u_knots).value
-        val += integrate(hleg_far_wing, u_edge, 709.0, tol=0.5 * share).value
-    else:
-        val += integrate(hleg_far_wing, u_cut, 709.0, tol=share).value
-    return val
+    # A clamped side has I' = 0, so g phi(f) dx = psi phi(z) dz there.
+    share = tol / 4.0
+    return (_cells(smile, grid, share, payoff.kinks)
+            + _past_grid(ts, lambda sigma: lambda x, z: psi(x),
+                         lambda x, z: psi(x) - dpsi(x), wing_u, share))

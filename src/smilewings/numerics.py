@@ -1,5 +1,6 @@
-"""Scalar numerical kernels: normal distribution, log1mexp, quadrature, and
-the negative branch of the Lambert W function.
+"""Numerical kernels: normal distribution, log1mexp, quadrature (adaptive
+over an interval, or cell by cell over given edges, on array-valued
+integrands), and the negative branch of the Lambert W function.
 
 Everything here is deterministic and side-effect free.  The normal CDF keeps
 full relative accuracy far into the left tail through :func:`log_norm_cdf`,
@@ -14,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
 from scipy.integrate import quad as _quad
 
 from .errors import DomainError, MaxIterations, ToleranceNotReached
@@ -30,6 +32,7 @@ __all__ = [
     "log_mills_ratio_from_log",
     "log1mexp",
     "integrate",
+    "integrate_cells",
     "lambert_w_m1",
 ]
 
@@ -163,6 +166,70 @@ def integrate(
         )
     return QuadratureResult(value=float(value), abs_error_estimate=float(abserr),
                             evaluations=max(evaluations, 1))
+
+
+# The 15-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk15): nodes
+# x_1 > ... > x_7 > 0, their mirror images and 0, with Kronrod weights; the
+# 7-point Gauss rule it extends sits on every other node.
+_K15_X = np.array([0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+                   0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
+                   0.20778495500789848])
+_K15_W = [0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+          0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+          0.20443294007529889]
+_G7_W = [0.1294849661688697, 0.27970539148927664, 0.3818300505051189]
+_NODES = np.concatenate([_K15_X, [0.0], -_K15_X[::-1]])
+_KRONROD = np.array(_K15_W + [0.20948214108472782] + _K15_W[::-1])
+_GAUSS = np.zeros(15)
+_GAUSS[1::2] = _G7_W + [0.4179591836734694] + _G7_W[::-1]
+# Bisections of one starting cell, and cells in one round, before the
+# routine gives up.
+_MAX_DEPTH = 40
+_MAX_CELLS = 1 << 14
+
+
+def integrate_cells(f: Callable[[np.ndarray], np.ndarray],
+                    edges: Sequence[float],
+                    tol: float = 1e-10) -> QuadratureResult:
+    """Integral of ``f`` over [edges[0], edges[-1]], cell by cell.
+
+    ``f`` maps an array of points to the integrand there, one call per
+    round.  Each cell [edges[k], edges[k+1]] gets the 15-point Gauss-Kronrod
+    rule and |K15 - G7| as its error estimate.  While the estimates sum past
+    ``tol``, the cells that miss their width share of ``tol`` are bisected.
+    Put kinks at edges.  Raises :class:`ToleranceNotReached` with the best
+    value past ``_MAX_DEPTH`` bisections or ``_MAX_CELLS`` cells a round,
+    or on a non-finite integrand.
+    """
+    grid = np.unique(np.asarray(edges, dtype=float))
+    if grid.size < 2 or not np.all(np.isfinite(grid)):
+        raise DomainError("integrate_cells needs two or more finite edges")
+    lo, hi = grid[:-1], grid[1:]
+    per_width = tol / (grid[-1] - grid[0])
+    kept_val, kept_err, evaluations = [], [], 0
+    for depth in range(_MAX_DEPTH + 1):
+        half = 0.5 * (hi - lo)
+        mid = lo + half
+        vals = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()),
+                          dtype=float).reshape(-1, 15)
+        evaluations += vals.size
+        kronrod = half * (vals @ _KRONROD)
+        err = np.abs(kronrod - half * (vals @ _GAUSS))
+        value = math.fsum(kept_val + kronrod.tolist())
+        abserr = math.fsum(kept_err + err.tolist())
+        if abserr <= tol:       # never true of a NaN
+            return QuadratureResult(value, abserr, evaluations)
+        short = err > per_width * (hi - lo)
+        if (not math.isfinite(value) or depth == _MAX_DEPTH or not short.any()
+                or 2 * np.count_nonzero(short) > _MAX_CELLS):
+            break
+        kept_val += kronrod[~short].tolist()
+        kept_err += err[~short].tolist()
+        lo, mid, hi = lo[short], mid[short], hi[short]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    raise ToleranceNotReached(
+        f"cell quadrature error estimate {abserr:.3e} exceeds tol {tol:.3e}",
+        value=value, error_estimate=abserr)
 
 
 def _w_m1_branch_series(t: float) -> float:

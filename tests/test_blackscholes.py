@@ -13,6 +13,7 @@ from scipy.interpolate import PchipInterpolator
 from smilewings.blackscholes import (
     NormalizedPutPrice,
     SmileCurve,
+    WingForm,
     call_price,
     d_minus,
     f_transform,
@@ -292,6 +293,19 @@ def test_corollary_wing_continuity_and_shape():
     for x in (-12.0, -300.0):
         fd = (sm(x + 1e-5) - sm(x - 1e-5)) / 2e-5
         assert math.isclose(sm.derivative(x), fd, rel_tol=1e-7)
+
+
+@pytest.mark.filterwarnings("error")
+def test_wing_reads_its_limits_at_minus_infinity():
+    # The wing form's two square roots both diverge there; their
+    # difference must read the limit, with no inf - inf warning.
+    sm = SmileCurve(np.linspace(-10.0, 1.0, 12), np.full(12, 0.3),
+                    left_wing="corollary_expansion", left_wing_q=1.5)
+    assert sm(-math.inf) == math.inf
+    assert sm.derivative(-math.inf) == 0.0
+    assert sm(np.array([-math.inf, -20.0]))[0] == math.inf
+    assert WingForm(0.0, 1.0).vol(-math.inf) == math.inf
+    assert WingForm(0.0, 1.0).vol(np.array([-math.inf]))[0] == math.inf
 
 
 def test_single_knot_curve():

@@ -339,6 +339,10 @@ class TestVerifyAndParser:
         code, _, _ = run_cli(["varswap", "--frobnicate"], capsys)
         assert code == 1
 
+    def test_retired_z_range_flag_is_exit_1(self, capsys):
+        code, _, _ = run_cli(["varswap", "--z-range", "8"], capsys)
+        assert code == 1
+
     def test_missing_subcommand_is_exit_1(self, capsys):
         code, _, err = run_cli([], capsys)
         assert code == 1 and "usage" in err

@@ -14,7 +14,6 @@ class TestRunConfig:
         assert cfg.tol == 1e-8
         assert cfg.q_ceiling == 1e3
         assert cfg.seed == 42
-        assert cfg.z_range == 12.0
         assert cfg.output_format == "json"
 
     @pytest.mark.parametrize("kwargs", [
@@ -23,7 +22,6 @@ class TestRunConfig:
         {"tol": math.nan},
         {"q_ceiling": 0.0},
         {"seed": -1},
-        {"z_range": 0.0},
         {"output_format": "yaml"},
         {"q_ceiling": math.inf},
     ])
@@ -50,6 +48,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("body", [
         "tol\n",                 # missing '='
         "volatility = 0.2\n",    # unknown key
+        "z_range = 12\n",        # a retired key
         "seed = few\n",          # unparsable value
     ])
     def test_bad_files_report_path_and_line(self, tmp_path, body):
@@ -85,11 +84,11 @@ class TestResolveConfig:
         cfg = resolve_config(p, tol=1e-3)
         assert cfg.tol == 1e-3       # flag wins
         assert cfg.seed == 9         # file beats default
-        assert cfg.z_range == 12.0   # default survives
+        assert cfg.q_ceiling == 1e3  # default survives
 
     def test_no_file(self):
-        cfg = resolve_config(None, z_range=8.0)
-        assert cfg.z_range == 8.0
+        cfg = resolve_config(None, q_ceiling=8.0)
+        assert cfg.q_ceiling == 8.0
         assert cfg.tol == 1e-8
 
 

@@ -19,7 +19,7 @@ from smilewings.gf import (
     price_psi_ac,
     price_psi_c2,
 )
-from smilewings.numerics import integrate
+from smilewings.numerics import integrate, integrate_cells
 from smilewings.replication import varswap_strip
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -50,41 +50,6 @@ def test_payoff_spec_validation():
 # transform construction
 
 
-def test_flat_transform_maps_are_affine(flat02_transform):
-    # On a flat smile f and f - I invert in closed form.
-    s = 0.2
-    for z in (-3.0, 0.0, 1.7, 9.0):
-        assert flat02_transform.f_inv(z) == pytest.approx(
-            s * z - 0.5 * s * s, abs=1e-14)
-        assert flat02_transform.h_inv(z) == pytest.approx(
-            s * z + 0.5 * s * s, abs=1e-14)
-
-
-def test_transform_round_trip(moderate_transform):
-    for x in (-14.0, -6.3, -1.0, 0.2, 1.3):
-        z = moderate_transform.f_of(x)
-        assert abs(moderate_transform.f_inv(z) - x) < 1e-9 * (1.0 + abs(x))
-
-
-def test_transform_h_inverts_g(moderate_transform):
-    for x in (-10.0, -4.0, 0.5):
-        g = moderate_transform.h_of(x)
-        assert abs(moderate_transform.h_inv(g) - x) < 1e-9 * (1.0 + abs(x))
-
-
-def test_deep_wing_inverse_maps(deep_transform):
-    # Far outside the grid both inverses must land on the analytic wing.
-    # |z| ~ sqrt(log|x|) there while the raw f(x) sum cancels sqrt(|x|)-sized
-    # terms, so ~1e-12 of z-noise is expected and amplified by exp.
-    sm = deep_transform.smile
-    for x in (-1e7, -1e8):
-        z = deep_transform.f_of(x)
-        assert z < 0.0
-        assert abs(deep_transform.f_inv(z) / x - 1.0) < 1e-8
-        g = z - float(sm(x))
-        assert abs(deep_transform.h_inv(g) / x - 1.0) < 1e-8
-
-
 def test_not_monotone_rejected_with_interval():
     # A vol cliff steep enough to fold the transform back on itself.
     bad = SmileCurve(np.array([-2.0, -1.0]), np.array([0.5, 0.1]))
@@ -95,8 +60,13 @@ def test_not_monotone_rejected_with_interval():
 
 
 def test_single_knot_transform():
-    ts = build_transform(SmileCurve(np.array([0.0]), np.array([0.2])))
-    assert abs(ts.f_inv(ts.f_of(-1.3)) - (-1.3)) < 1e-10
+    # One knot is a flat smile with no grid cells: both clamped sides carry
+    # the whole law.
+    ts = build_transform(SmileCurve(np.array([0.0]), np.array([0.2]),
+                                    certified_q=math.inf))
+    assert abs(gf_varswap(ts, tol=1e-9) - 0.04) < 1e-9
+    assert abs(price_psi_c2(_identity(), ts, tol=1e-9) + 0.02) < 1e-9
+    assert abs(price_psi_ac(_identity(), ts, tol=1e-9) + 0.02) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +102,12 @@ def test_gf_varswap_flat(flat02_transform):
     assert abs(gf_varswap(flat02_transform, tol=1e-9) - 0.04) < 1e-9
 
 
-def test_gf_varswap_narrow_window_still_converges(flat02_transform):
-    # Gaussian mass beyond |z| = 8 is ~1e-15; the window cut must not bite.
-    v = gf_varswap(flat02_transform, tol=1e-9, z_range=8.0)
-    assert abs(v - 0.04) < 1e-9
+def test_gf_varswap_resolves_a_density_narrower_than_its_cell():
+    # The law of log S_T has width ~0.06 here, and the knot cell around the
+    # money is 6 wide: a 15-node rule on that cell alone sees nothing.
+    ts = build_transform(SmileCurve(np.array([-22.0, -2.17, 4.06, 5.15]),
+                                    np.full(4, 0.06)))
+    assert abs(gf_varswap(ts, tol=1e-6) - 0.0036) < 1e-6
 
 
 def test_gf_varswap_matches_strip_on_jump_smile(moderate_transform):
@@ -162,7 +134,12 @@ def test_route_tols_sum_within_requested_tol(name, request, monkeypatch):
         tols.append(tol)
         return integrate(f, lo, hi, tol=tol, points=points)
 
+    def recording_cells(f, edges, tol=1e-10):
+        tols.append(tol)
+        return integrate_cells(f, edges, tol=tol)
+
     monkeypatch.setattr(gf, "integrate", recording)
+    monkeypatch.setattr(gf, "integrate_cells", recording_cells)
     monkeypatch.setattr(replication, "integrate", recording)
     tol = 1e-7
     routes = {
@@ -175,6 +152,53 @@ def test_route_tols_sum_within_requested_tol(name, request, monkeypatch):
         tols.clear()
         run()
         assert tols and math.fsum(tols) <= tol, (route, tols)
+
+
+# Smiles on which the two routes must meet within the sum of their
+# tolerances: long smooth ladders, a wing near the first-moment edge, and
+# a knot grid out to -1e6.
+
+
+def _svi_ladder(a, b, rho, m, s) -> SmileCurve:
+    x = np.log(0.05 + 0.01 * np.arange(395))
+    return SmileCurve(x, np.sqrt(a + b * (rho * (x - m)
+                                          + np.sqrt((x - m) ** 2 + s * s))))
+
+
+def _gf_within_strip(sm: SmileCurve, tol: float) -> None:
+    gap = abs(gf_varswap(build_transform(sm), tol=tol)
+              - varswap_strip(sm, tol=tol))
+    assert gap <= 2.0 * tol, gap
+
+
+@pytest.mark.parametrize("params", [
+    (0.022, 0.244, -0.688, -0.072, 0.41),
+    # Full digits: rounded ones move the smile off the defect.
+    (0.034813358199041765, 0.11438508353181999, -0.6962291321065139,
+     -0.08320072888494812, 0.14962203848061578),
+])
+def test_gf_varswap_on_395_knot_svi_ladder(params):
+    _gf_within_strip(_svi_ladder(*params), 1e-8)
+
+
+def test_gf_varswap_near_the_first_moment_edge():
+    # Corollary-wing FMLS(1.2, 0.25) on 121 knots, geometric out to -1e4.
+    from smilewings.models import FMLS, model_smile
+    x = np.concatenate([-np.geomspace(1e4, 2.5, 100), np.linspace(-2.0, 1.0, 21)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # dropped right-wing knots
+        sm = model_smile(FMLS(1.2, 0.25), x, left_wing="corollary_expansion",
+                         left_wing_q=1.2)
+    _gf_within_strip(sm, 1e-6)
+
+
+def test_gf_varswap_on_exact_wing_smile():
+    q = 1.243359
+    x = np.sort(-np.geomspace(1.5, 1e6, 680))
+    s = 2.0 * q * np.log(-x)
+    sm = SmileCurve(x, np.sqrt(s - 2.0 * x) - np.sqrt(s),
+                    left_wing="corollary_expansion", left_wing_q=q)
+    _gf_within_strip(sm, 1e-7)
 
 
 # ---------------------------------------------------------------------------

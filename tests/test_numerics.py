@@ -20,6 +20,7 @@ from smilewings.errors import (
 from smilewings.numerics import (
     QuadratureResult,
     integrate,
+    integrate_cells,
     lambert_w_m1,
     log_mills_ratio,
     log_mills_ratio_from_log,
@@ -134,6 +135,45 @@ def test_integrate_refuses_unreachable_tolerance():
     with pytest.raises(ToleranceNotReached) as exc:
         integrate(lambda t: math.sin(1e4 * t), 0.0, 1.0, tol=1e-14)
     assert exc.value.error_estimate is None or exc.value.error_estimate > 1e-14
+
+
+def test_integrate_cells_exact_on_cubics_over_uneven_cells():
+    edges = [-1.3, -0.2, 0.05, 1.7, 4.0]
+    res = integrate_cells(lambda t: 3.0 * t**3 - 2.0 * t * t + t - 5.0,
+                          edges, tol=1e-12)
+
+    def antiderivative(t):
+        return 0.75 * t**4 - 2.0 * t**3 / 3.0 + 0.5 * t * t - 5.0 * t
+
+    exact = antiderivative(4.0) - antiderivative(-1.3)
+    assert math.isclose(res.value, exact, rel_tol=1e-14)
+    assert res.abs_error_estimate <= 1e-12
+    assert res.evaluations == 15 * 4        # no cell was bisected
+
+
+def test_integrate_cells_error_estimate_within_tol():
+    tol = 1e-12
+    res = integrate_cells(lambda t: np.exp(-0.5 * t * t) / math.sqrt(2 * math.pi),
+                          [-10.0, -3.0, 0.5, 10.0], tol=tol)
+    assert res.abs_error_estimate <= tol
+    assert abs(res.value - (norm_cdf(10.0) - norm_cdf(-10.0))) <= tol
+
+
+def test_integrate_cells_bisects_a_cell_until_it_converges():
+    # sqrt has an unbounded derivative at 0, so the one cell must split.
+    res = integrate_cells(np.sqrt, [0.0, 1.0], tol=1e-8)
+    assert res.evaluations > 15
+    assert res.abs_error_estimate <= 1e-8
+    assert abs(res.value - 2.0 / 3.0) <= 1e-8
+
+
+def test_integrate_cells_refuses_unreachable_tolerance():
+    # A jump inside a cell: bisection shrinks its error only linearly.
+    with pytest.raises(ToleranceNotReached) as exc:
+        integrate_cells(lambda t: np.where(t < 1.0 / 3.0, -1.0, 1.0),
+                        [0.0, 1.0], tol=1e-15)
+    assert abs(exc.value.value - 1.0 / 3.0) < 1e-9
+    assert exc.value.error_estimate > 1e-15
 
 
 def test_quadrature_result_validation():
