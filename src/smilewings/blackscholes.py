@@ -19,6 +19,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy import special
 from scipy.interpolate import PchipInterpolator
 
 from .errors import (
@@ -28,8 +29,8 @@ from .errors import (
     PriceAtOrAboveCap,
     PriceBelowIntrinsic,
 )
-from .numerics import LOG_FLOAT_MAX, LOG_SQRT_2PI, log1mexp, log_mills_ratio, \
-    log_norm_cdf, norm_cdf, norm_pdf
+from .numerics import LOG_FLOAT_MAX, LOG_SQRT_2PI, log1mexp, log1mexp_array, \
+    log_mills_ratio, log_mills_ratio_array, log_norm_cdf, norm_cdf, norm_pdf
 
 __all__ = [
     "NormalizedPutPrice",
@@ -38,10 +39,17 @@ __all__ = [
     "d_minus",
     "put_price",
     "call_price",
+    "log_put_array",
+    "log_call_array",
     "vega",
     "implied_vol",
     "f_transform",
+    "Z_DEAD",
+    "z_cells",
 ]
+
+# Beyond this |z| the standard normal density is an exact float zero.
+Z_DEAD = 38.5
 
 def d_minus(x: float, sigma: float) -> float:
     """The lower Black-Scholes argument -x/sigma - sigma/2."""
@@ -96,6 +104,34 @@ def _log_call(x: float, sigma: float) -> float:
     return la + log1mexp(min(lb - la, -1e-300))
 
 
+def log_put_array(x, sigma) -> np.ndarray:
+    """:func:`_log_put` elementwise: the log of the normalized put at each
+    (x, sigma) pair, broadcast, for 0 < sigma < inf.
+
+    Where d >= 8 the put is the difference of two nearly equal terms, and
+    the log of their ratio comes from Mills ratios, whose x-sized quadratic
+    parts cancel symbolically; elsewhere it is a difference of log_ndtr.
+    """
+    x, sigma = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(sigma, dtype=float))
+    d = -x / sigma - 0.5 * sigma
+    la = x + special.log_ndtr(-d)
+    gap = np.empty_like(la)
+    deep = d >= 8.0
+    dd, sd = d[deep], sigma[deep]
+    gap[deep] = log_mills_ratio_array(dd + sd) - log_mills_ratio_array(dd)
+    near = ~deep
+    gap[near] = special.log_ndtr(-d[near] - sigma[near]) - la[near]
+    return la + log1mexp_array(np.minimum(gap, -1e-300))
+
+
+def log_call_array(x, sigma) -> np.ndarray:
+    """The log of the normalized call, elementwise, through put-call
+    symmetry: the call at x is e^x times the put at -x."""
+    x = np.asarray(x, dtype=float)
+    return x + log_put_array(-x, sigma)
+
+
 def _check_x(x: float, caller: str) -> None:
     if not -math.inf < x <= LOG_FLOAT_MAX:
         raise DomainError(f"{caller} requires finite x <= ln(DBL_MAX) "
@@ -129,7 +165,7 @@ def put_price(x: float, sigma: float) -> NormalizedPutPrice:
 
 def call_price(x: float, sigma: float) -> float:
     """Normalized Black-Scholes call Phi(d + sigma) - e^x Phi(d)."""
-    # No upper bound on x: the strip route prices calls far above the money.
+    # No upper bound on x: far above the money the call is tiny, not huge.
     if not math.isfinite(x):
         raise DomainError(f"call_price requires finite x, got {x}")
     if math.isnan(sigma) or sigma < 0.0:
@@ -393,20 +429,28 @@ class SmileCurve:
                                  float(self.left_wing_q))
 
     @cached_property
-    def _table(self) -> tuple[list[float], list[float], list]:
-        """Knots, vols and the (value, derivative) coefficients of each cell."""
-        knots, vols = self.x.tolist(), self.vol.tolist()
-        if len(knots) == 1:
-            return knots, vols, [([vols[0]], [0.0])]
+    def _coefs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Value and derivative coefficients of each cell, a row per cell,
+        from the constant term up."""
+        if self.x.size == 1:
+            return self.vol[:, None], np.zeros((1, 1))
         if self.interpolation == "monotone-cubic":
             c = PchipInterpolator(self.x, self.vol).c
             dc = c[:-1] * np.array([[3.0], [2.0], [1.0]])  # PPoly.derivative()
-            return knots, vols, list(zip(c[::-1].T.tolist(), dc[::-1].T.tolist()))
-        slopes = (np.diff(self.vol) / np.diff(self.x)).tolist()
-        cells = [([v, m], [m]) for v, m in zip(vols, slopes)]
+            return c[::-1].T.copy(), dc[::-1].T.copy()
+        slopes = np.diff(self.vol) / np.diff(self.x)
         # numpy's interp reads vol[-1] exactly at the last knot; so does a
         # zero-width closing cell, with the last secant slope as derivative.
-        return knots, vols, cells + [([vols[-1], 0.0], [slopes[-1]])]
+        return (np.column_stack([self.vol, np.append(slopes, 0.0)]),
+                np.append(slopes, slopes[-1])[:, None])
+
+    @cached_property
+    def _table(self) -> tuple[list[float], list[float], list]:
+        """Knots, vols and the (value, derivative) coefficients of each
+        cell, as lists for the scalar path."""
+        value, deriv = self._coefs
+        return (self.x.tolist(), self.vol.tolist(),
+                list(zip(value.tolist(), deriv.tolist())))
 
     def _at(self, x: float, want_deriv: bool) -> float:
         knots, vols, cells = self._table
@@ -428,28 +472,22 @@ class SmileCurve:
             z *= s
         return res
 
-    @cached_property
-    def _coefs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The cell table's value and derivative coefficients, a row per cell."""
-        cells = self._table[2]
-        return np.array([c[0] for c in cells]), np.array([c[1] for c in cells])
-
     def _at_array(self, xs: np.ndarray, want_deriv: bool) -> np.ndarray:
         """:meth:`_at` over a 1-d array, bit for bit: the same cell and the
         same sums, taken a coefficient column at a time."""
-        knots, vols, cells = self._table
-        left, right = xs < knots[0], xs > knots[-1]
+        coefs = self._coefs[want_deriv]
+        left, right = xs < self.x[0], xs > self.x[-1]
         inner = ~(left | right)
         i = np.minimum(np.searchsorted(self.x, xs[inner], side="right"),
-                       len(cells)) - 1
+                       len(coefs)) - 1
         s = xs[inner] - self.x[i]
         res, z = 0.0, 1.0
-        for c in self._coefs[want_deriv][i].T:
+        for c in coefs[i].T:
             res, z = res + c * z, z * s
-        out = np.full_like(xs, 0.0 if want_deriv else vols[-1])
+        out = np.full_like(xs, 0.0 if want_deriv else self.vol[-1])
         out[inner] = res
         if self.wing is None:
-            out[left] = 0.0 if want_deriv else vols[0]
+            out[left] = 0.0 if want_deriv else self.vol[0]
         elif left.any():
             form = self.wing.derivative if want_deriv else self.wing.vol
             out[left] = form(xs[left])
@@ -474,3 +512,18 @@ def f_transform(x, smile: SmileCurve):
     """The monotone change of variable f(x) = x/I(x) + I(x)/2 = -d_minus."""
     iv = smile(x)
     return x / iv + 0.5 * iv
+
+
+def z_cells(smile: SmileCurve, edges) -> np.ndarray:
+    """The sorted, distinct ``edges``, each cell bisected until f maps it
+    onto at most one unit of |z| < Z_DEAD.  An integrand that carries
+    phi(f(x)) is then smooth on the scale of every cell, so no cell holds
+    the density between two quadrature nodes."""
+    edges = np.unique(np.asarray(edges, dtype=float))
+    for _ in range(64):
+        iv = smile(edges)
+        wide = np.diff(np.clip(edges / iv + 0.5 * iv, -Z_DEAD, Z_DEAD)) > 1.0
+        if not wide.any():
+            break
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])[wide]]))
+    return edges

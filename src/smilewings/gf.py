@@ -27,7 +27,7 @@ from typing import Callable, Literal
 import numpy as np
 from scipy import special
 
-from .blackscholes import SmileCurve, f_transform
+from .blackscholes import Z_DEAD, SmileCurve, f_transform, z_cells
 from .errors import DomainError, GrowthViolation, NotMonotone
 from .numerics import LOG_SQRT_2PI, integrate, integrate_cells
 
@@ -40,12 +40,10 @@ __all__ = [
     "price_psi_ac",
 ]
 
-# Beyond this |z| the standard normal density is an exact float zero, so
-# integrands short-circuit before evaluating possibly huge payoff values.
-_Z_DEAD = 38.5
-
 def _phi(z: float) -> float:
-    return math.exp(-0.5 * z * z - LOG_SQRT_2PI) if abs(z) < _Z_DEAD else 0.0
+    """The standard normal density, an exact 0 past Z_DEAD, so integrands
+    short-circuit before evaluating possibly huge payoff values."""
+    return math.exp(-0.5 * z * z - LOG_SQRT_2PI) if abs(z) < Z_DEAD else 0.0
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,14 @@ def build_transform(smile: SmileCurve, tol: float = 1e-8) -> TransformedSmile:
     offending interval.  ``tol`` is accepted for callers that pass one: no
     inverse map is built, so there is nothing left for it to certify."""
     xs = smile.x
-    dense = (xs[0] + np.array([-1.0, 0.0, 1.0]) if xs.size == 1 else np.unique(
-        np.concatenate([np.linspace(a, b, 5) for a, b in zip(xs[:-1], xs[1:])])))
+    if xs.size == 1:
+        dense = xs[0] + np.array([-1.0, 0.0, 1.0])
+    else:
+        # Five points a cell, as np.linspace(a, b, 5) places them.
+        a, b = xs[:-1, None], xs[1:, None]
+        rows = np.arange(5.0) * ((b - a) / 4.0) + a
+        rows[:, -1] = b[:, 0]
+        dense = np.unique(rows)
     iv_dense = np.atleast_1d(smile(dense))
     f_dense = dense / iv_dense + 0.5 * iv_dense
     h_dense = f_dense - iv_dense
@@ -134,19 +138,14 @@ def _cells(smile: SmileCurve, g: Callable, tol: float,
            kinks: tuple[float, ...] = ()) -> float:
     """The integral of g(x, I, I', f, f') phi(f) over the grid [x_0, x_n]:
     a quadrature cell per knot interval, split at the kinks inside the grid
-    and bisected until f maps it onto at most a unit of |z| < _Z_DEAD, so
+    and bisected until f maps it onto at most a unit of |z| < Z_DEAD, so
     that no cell holds the Gaussian between two nodes.  g sees only the
     points where phi(f) > 0."""
     xs = smile.x
     if xs.size == 1:
         return 0.0
-    edges = np.unique(np.concatenate([xs, [k for k in kinks if xs[0] < k < xs[-1]]]))
-    for _ in range(64):
-        iv = smile(edges)
-        wide = np.diff(np.clip(edges / iv + 0.5 * iv, -_Z_DEAD, _Z_DEAD)) > 1.0
-        if not wide.any():
-            break
-        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])[wide]]))
+    edges = z_cells(smile, np.concatenate(
+        [xs, [k for k in kinks if xs[0] < k < xs[-1]]]))
 
     def integrand(x: np.ndarray) -> np.ndarray:
         iv = smile(x)

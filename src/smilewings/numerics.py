@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad as _quad
 
 from .errors import DomainError, MaxIterations, ToleranceNotReached
@@ -30,13 +31,17 @@ __all__ = [
     "mills_ratio",
     "log_mills_ratio",
     "log_mills_ratio_from_log",
+    "log_mills_ratio_array",
     "log1mexp",
+    "log1mexp_array",
     "integrate",
     "integrate_cells",
     "lambert_w_m1",
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_LN2 = math.log(2.0)
+_HALF_LOG_HALF_PI = 0.5 * math.log(0.5 * math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # ln(DBL_MAX): e^x overflows float64 beyond it.
@@ -76,6 +81,18 @@ def log1mexp(u: float) -> float:
     if u > -0.6931471805599453:
         return math.log(-math.expm1(u))
     return math.log1p(-math.exp(u))
+
+
+def log1mexp_array(u: np.ndarray) -> np.ndarray:
+    """:func:`log1mexp` elementwise for u < 0.  Each branch runs on its own
+    mask, so neither is evaluated where it would warn."""
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u)
+    near = u > -_LN2
+    out[near] = np.log(-np.expm1(u[near]))
+    far = ~near
+    out[far] = np.log1p(-np.exp(u[far]))
+    return out
 
 
 def _log_mills_series(inv: float) -> float:
@@ -127,6 +144,16 @@ def log_mills_ratio_from_log(log_z: float) -> float:
     if log_z < 3.5:
         return log_mills_ratio(math.exp(log_z))
     return -log_z + _log_mills_series(math.exp(-2.0 * log_z))
+
+
+def log_mills_ratio_array(z: np.ndarray) -> np.ndarray:
+    """log(Phi(-z)/phi(z)) elementwise, as log erfcx(z/sqrt 2) + log(pi/2)/2.
+
+    erfcx keeps full relative precision from z = 0 out to the float
+    range, so no series switch is needed.
+    """
+    return np.log(special.erfcx(np.asarray(z, dtype=float) / _SQRT2)) \
+        + _HALF_LOG_HALF_PI
 
 
 def mills_ratio(z: float) -> float:

@@ -1,9 +1,12 @@
 """Static replication: the log contract from an option strip, the
 variance-swap strike, and the discretely monitored variance-swap payoff.
 
-Strike integrals are carried out in log-moneyness, with put prices taken
-through their log channel so that deep-wing regions contribute exactly
-rather than underflowing to zero.
+The strip runs in log-moneyness on the smile's own cells: one array
+integrand per leg, priced by the log-put kernel
+:func:`~smilewings.blackscholes.log_put_array` so that deep-wing regions
+contribute exactly rather than underflowing to zero, and integrated by
+:func:`~smilewings.numerics.integrate_cells`.  Its one QUADPACK leg is a
+corollary wing's far tail in u = log|x|, which runs to u = +inf.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .blackscholes import SmileCurve, WingForm, call_price, put_price
+from .blackscholes import SmileCurve, WingForm, log_put_array, z_cells
 from .errors import DivergentWing, DomainError
-from .numerics import integrate, log1mexp, log_mills_ratio, log_mills_ratio_from_log, \
-    log_norm_cdf
+from .numerics import integrate, integrate_cells, log1mexp, log_mills_ratio, \
+    log_mills_ratio_from_log, log_norm_cdf
 
 __all__ = [
     "PricePath",
@@ -82,59 +85,58 @@ def _wing_strip_far(wing: WingForm) -> Callable[[float], float]:
     return far
 
 
+def _flat_tail(edge: float, sigma: float, side: float) -> np.ndarray:
+    """Cell edges from ``edge`` out along a clamped side (``side`` = -1
+    left, +1 right), where f is affine with slope 1/sigma: cells just under
+    a unit of z wide, out to 40 sigma + sigma^2 past the edge.  There
+    |d| >= 40 and the strip integrand, about phi(d)/|d|, is below the
+    smallest float."""
+    return edge + side * np.linspace(0.0, 40.0 * sigma + sigma * sigma,
+                                     int(42.0 + sigma))
+
+
 def log_contract_strip(smile: SmileCurve, tol: float = 1e-8) -> float:
     """E[-log S_T] from the K^{-2}-weighted strip of puts and calls.
 
-    In log-moneyness the two legs read int p(x) e^{-x} dx over x < 0 and
-    int c(x) e^{-x} dx over x > 0; the put leg is evaluated through the log
-    channel so deep wings never underflow, and the far-left region is
-    integrated in u = log|x| where wing decay is exponential.
+    In log-moneyness the strip is the integral of p(x) e^{-x} over x < 0
+    and of c(x) e^{-x}, which is the put at -x, over x > 0.  Both run on
+    the smile's own cells through the array kernel :func:`log_put_array`,
+    with edges at the knots and at the payoff's kink x = 0, each cell
+    bisected by :func:`z_cells`.  A clamped side is a flat smile, whose
+    integrand decays like a Gaussian in x: its cells stop where that
+    underflows.  On a corollary wing the grid below x = -8 runs in
+    u = log|x| over the knot images, and past the first knot the wing's
+    own form is the strip's one QUADPACK leg, to u = +inf: a finite u range
+    cannot bound a tail that decays like e^{-(q-1)u}.
     """
     _check_left_decay(smile)
+    knots = smile.x
 
-    def left(x: float) -> float:
-        lp = put_price(x, smile(x)).log_p
-        arg = lp - x
-        return math.exp(arg) if arg > -745.0 else 0.0
+    def otm(x: np.ndarray) -> np.ndarray:
+        return np.exp(log_put_array(-np.abs(x), smile(x)) - np.minimum(x, 0.0))
 
-    def right(x: float) -> float:
-        c = call_price(x, smile(x))
-        return c * math.exp(-x) if c > 0.0 else 0.0
+    right = _flat_tail(max(float(knots[-1]), 0.0), float(smile.vol[-1]), 1.0)
+    wing = smile.wing
+    if wing is None:
+        left = _flat_tail(min(float(knots[0]), 0.0), float(smile.vol[0]), -1.0)
+        edges = np.concatenate([left, knots, [0.0], right])
+        return integrate_cells(otm, z_cells(smile, edges), tol=tol).value
+    # Power-law decay: u = log|x| makes the far integrand exp(-(q-1)u), and
+    # also walks the (possibly very deep) grid region in log steps.
+    xc = -8.0
+    u_c, u_grid = math.log(-xc), math.log(max(-float(knots[0]), -xc))
+    share = tol / (3.0 if u_grid > u_c else 2.0)
+    total = integrate(_wing_strip_far(wing), u_grid, math.inf, tol=share).value
+    if u_grid > u_c:
 
-    knots = np.asarray(smile.x, dtype=float)
+        def deep(u: np.ndarray) -> np.ndarray:
+            x = -np.exp(u)
+            return np.exp(log_put_array(x, smile(x)) - x + u)
 
-    if smile.wing is not None:
-        # Power-law decay: u = log|x| makes the far integrand exp(-(q-1)u),
-        # and also walks the (possibly very deep) grid region in log steps.
-        # Beyond the last knot the pure-wing form takes over analytically.
-        # Knot images ride along as break points: the interpolant's
-        # curvature jumps there, and cell-aligned panels converge where a
-        # blind subdivision stalls.
-        xc = -8.0
-        u_grid = math.log(max(-float(knots[0]), -xc))
-        part = tol / 4.0
-
-        def far(u: float) -> float:
-            x = -math.exp(u)
-            lp = put_price(x, smile(x)).log_p
-            arg = lp - x + u
-            return math.exp(arg) if arg > -745.0 else 0.0
-
-        total = 0.0
-        if u_grid > math.log(-xc):
-            u_knots = np.log(-knots[knots < xc]).tolist()
-            total += integrate(far, math.log(-xc), u_grid, tol=part,
-                               points=u_knots).value
-        total += integrate(_wing_strip_far(smile.wing), u_grid, math.inf,
-                           tol=part).value
-    else:
-        xc = min(float(knots[0]), -8.0)
-        part = tol / 3.0
-        total = integrate(left, -math.inf, xc, tol=part).value
-    mid_knots = knots[(knots > xc) & (knots < 0.0)].tolist()
-    total += integrate(left, xc, 0.0, tol=part, points=mid_knots).value
-    total += integrate(right, 0.0, math.inf, tol=part).value
-    return total
+        u_edges = np.append(np.log(-knots[knots < xc]), u_c)
+        total += integrate_cells(deep, u_edges, tol=share).value
+    edges = np.concatenate([[xc], knots[knots > xc], [0.0], right])
+    return total + integrate_cells(otm, z_cells(smile, edges), tol=share).value
 
 
 def varswap_strip(smile: SmileCurve, tol: float = 1e-8) -> float:

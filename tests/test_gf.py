@@ -141,6 +141,7 @@ def test_route_tols_sum_within_requested_tol(name, request, monkeypatch):
     monkeypatch.setattr(gf, "integrate", recording)
     monkeypatch.setattr(gf, "integrate_cells", recording_cells)
     monkeypatch.setattr(replication, "integrate", recording)
+    monkeypatch.setattr(replication, "integrate_cells", recording_cells)
     tol = 1e-7
     routes = {
         "varswap_strip": lambda: varswap_strip(ts.smile, tol=tol),
