@@ -8,7 +8,9 @@ Three exactly-normalized (E[S_T] = 1, T = 1) models of L = log S_T:
   exactly for q < alpha, so alpha is the model's certified moment order.
 * ``LogMixture``  -- L = sigma_x Z - Y - kappa with Z standard normal and
   Y inverse-gamma(y_shape, y_scale) independent; |L| has moments exactly
-  up to y_shape.
+  up to y_shape.  Y's density is scipy's inverse-gamma expression,
+  evaluated bit for bit as ``scipy.stats.invgamma.pdf`` evaluates it, but
+  without a frozen distribution.
 
 FMLS put prices are produced by four stitched regimes: a pure tail series
 for x <= -120 (where only the log channel of the price is representable),
@@ -34,7 +36,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy import special
 from scipy.integrate import quad
-from scipy.stats import invgamma, levy_stable
+from scipy.stats import levy_stable
 
 from .blackscholes import NormalizedPutPrice, SmileCurve, implied_vol, put_price
 from .errors import DomainError, SmileWingsError, ToleranceNotReached, Unsupported
@@ -468,15 +470,32 @@ def _mixture_kappa(sigma: float, y_shape: float, y_scale: float) -> float:
     return 0.5 * sigma * sigma + log_mgf
 
 
+def _invgamma_pdf(a: float, scale: float) -> Callable[[float], float]:
+    """The inverse-gamma(a, scale) density of Y, bit for bit as scipy's
+    ``invgamma(a, scale=scale).pdf`` returns it: scipy's ``_logpdf``
+    expression through the same numpy ufuncs (``math`` rounds some nodes an
+    ulp apart), with no frozen distribution per call.  Zero off the open
+    support 0 < y / scale < inf."""
+    log_gamma = special.gammaln(a)
+
+    def pdf(y: float) -> float:
+        u = y / scale
+        if not 0.0 < u < math.inf:
+            return 0.0
+        return np.exp(-(a + 1) * np.log(u) - log_gamma - 1.0 / u) / scale
+
+    return pdf
+
+
 def _mixture_put(model: LogMixture, x: float, tol: float) -> NormalizedPutPrice:
     s = model.x_part.sigma
     kappa = _mixture_kappa(s, model.y_shape, model.y_scale)
-    dist = invgamma(model.y_shape, scale=model.y_scale)
+    pdf = _invgamma_pdf(model.y_shape, model.y_scale)
     ex = math.exp(x)
     disc = math.exp(-kappa + 0.5 * s * s)
 
     def leg(y: float) -> float:
-        f = dist.pdf(y)
+        f = pdf(y)
         if f == 0.0:
             return 0.0
         a = (x + y + kappa) / s
@@ -649,10 +668,10 @@ def fmls_mean_log_oracle(alpha: float = 1.5, scale: float = 0.25) -> float:
 def _mixture_abs_moment(model: LogMixture, q: float, tol: float) -> float:
     s = model.x_part.sigma
     kappa = _mixture_kappa(s, model.y_shape, model.y_scale)
-    dist = invgamma(model.y_shape, scale=model.y_scale)
+    pdf = _invgamma_pdf(model.y_shape, model.y_scale)
 
     def leg(y: float) -> float:
-        f = dist.pdf(y)
+        f = pdf(y)
         return f * _abs_normal_moment(-y - kappa, s, q) if f > 0.0 else 0.0
 
     return integrate(leg, 0.0, math.inf, tol=tol).value

@@ -14,6 +14,7 @@ import math
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,8 @@ from smilewings import cli
 from smilewings.blackscholes import SmileCurve, WingForm
 from smilewings.fileio import CHAIN_HEADER, write_smile_csv
 
+SMILE_GEN_REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench"
+                       / "reference" / "smile-gen.json")
 PUT_ATM_02 = "0.079655674554057984"   # flat-0.2 normalized put at x = 0
 
 
@@ -315,6 +318,31 @@ class TestSmileGen:
                                 "--sigma", "0.3",
                                 "--output", str(tmp_path / "s.csv")], capsys)
         assert code == 1 and "--y-shape" in err
+
+    def test_mixture_smiles_reproduce_the_benchmark_reference(
+            self, tmp_path, capsys):
+        # The benchmark's recorded mixture smiles, knot for knot and bit for
+        # bit: their right-wing vols sit ~1e-12 from intrinsic, so they read
+        # the last ulps of every quadrature node.  The file is only read.
+        with open(SMILE_GEN_REFERENCE, encoding="utf-8") as fh:
+            smiles = json.load(fh)["smiles"]
+        keys = [k for k in smiles if k.startswith("mixture-cli|")]
+        assert len(keys) == 18
+        from smilewings.fileio import read_smile_csv
+        out = tmp_path / "smile.csv"
+        for key in keys:
+            params = dict(p.split("=") for p in key.split("|")[1].split(","))
+            code, _, _ = run_cli(["smile-gen", "--model", "mixture",
+                                  "--sigma", params["sigma"],
+                                  "--y-shape", params["y_shape"],
+                                  "--y-scale", params["y_scale"],
+                                  "--x-grid=-16:3:64", "--output", str(out)],
+                                 capsys)
+            assert code == 0, key
+            with open(out, encoding="utf-8") as fh:
+                sm, _ = read_smile_csv(fh)
+            assert sm.x.tolist() == smiles[key]["x"], key
+            assert sm.vol.tolist() == smiles[key]["vol"], key
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.stats import levy_stable
+from scipy.stats import invgamma, levy_stable
 
 from smilewings.blackscholes import implied_vol, put_price
 from smilewings.errors import DomainError, ToleranceNotReached, Unsupported
@@ -25,12 +25,14 @@ from smilewings.models import (
     Brownian,
     LogMixture,
     Lognormal,
+    _abs_normal_moment,
     _fmls_call_cm,
     _fmls_calls_right,
     _fmls_dist,
     _fmls_drift,
     _fmls_log_put_deep,
     _fmls_log_put_mid,
+    _invgamma_pdf,
     _mixture_kappa,
     _tail_cdf,
     _tail_coeffs,
@@ -399,6 +401,45 @@ def test_mixture_martingale_by_simulation():
                      for p in sample_paths(mix, 1, 20_000, seed=11)])
     stderr = float(vals.std(ddof=1)) / math.sqrt(vals.size)
     assert abs(float(vals.mean()) - 1.0) < 3.0 * stderr
+
+
+# The (y_shape, y_scale) pairs of the benchmark's mixture catalogue, and the
+# mixture the other tests here price.
+MIXTURE_PAIRS = [(1.99, 0.1), (2.0, 0.1), (2.01, 0.1),
+                 (2.99, 0.05), (3.0, 0.05), (3.01, 0.05), (3.0, 2.0)]
+
+
+@pytest.mark.parametrize("a, b", MIXTURE_PAIRS)
+def test_invgamma_pdf_is_scipys_bit_for_bit(a, b):
+    # The smiles' near-intrinsic right-wing vols read the last ulps of the
+    # put, so the density must round exactly as scipy's does at every node.
+    pdf = _invgamma_pdf(a, b)
+    ref = invgamma(a, scale=b)
+    below = [-math.inf, -1.0, -0.0, 0.0]
+    ys = np.concatenate([below, [5e-324], np.geomspace(1e-300, 1e-4, 300),
+                         np.geomspace(1e-4, 1e6, 25_001), [1e308, math.inf]])
+    got = np.array([pdf(float(y)) for y in ys])
+    with np.errstate(all="ignore"):
+        want = np.array([ref.pdf(float(y)) for y in ys])
+    assert np.array_equal(got, want)
+    assert np.all(got[:len(below)] == 0.0)
+    # nodes inside the support whose density underflows to 0
+    assert np.count_nonzero(got[len(below):-1] == 0.0) > 0
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+def test_mixture_moment_matches_the_frozen_scipy_leg(q):
+    mix = LogMixture(Brownian(0.3), 3.0, 2.0)
+    kappa = _mixture_kappa(0.3, 3.0, 2.0)
+    frozen = invgamma(3.0, scale=2.0)
+
+    def leg(y):
+        f = frozen.pdf(y)
+        return f * _abs_normal_moment(-y - kappa, 0.3, q) if f > 0.0 else 0.0
+
+    want = quad(leg, 0.0, math.inf, epsabs=1e-10, epsrel=1.49e-10,
+                limit=200)[0]
+    assert log_moment_oracle(mix, q) == want
 
 
 # ---------------------------------------------------------------------------
